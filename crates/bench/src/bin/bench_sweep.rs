@@ -4,15 +4,16 @@
 //! emitted as one canonical-JSON document. The repo commits the result as
 //! `BENCH_sweep.json` at the root so speedups and regressions form a
 //! PR-over-PR trajectory rather than an anecdote; CI re-measures every push
-//! and `--compare`s against the committed file (warn-only — wall-clock
-//! figures are machine-dependent, so a regression prints a warning instead of
-//! failing the build).
+//! and `--compare`s against the committed file.
 //!
 //! Usage: `cargo run --release -p malsim-bench --bin bench_sweep --
 //!   [--iters <n>] [--out <path>] [--compare <path>] [--threshold <ratio>]`
 //!
-//! Event counts are deterministic per seed; only the wall-clock figures
-//! vary between machines and runs.
+//! Event counts, per-category dispatch counts and calendar-queue counters are
+//! deterministic per seed: `--compare` exits non-zero when any of them differs
+//! from the committed file, since that means behaviour changed. Only the
+//! wall-clock figures vary between machines and runs, so a throughput drop
+//! below `--threshold` of the baseline prints a warning and never fails.
 
 use std::time::Instant;
 
@@ -33,46 +34,62 @@ fn sample(iters: u64, run: impl Fn() -> u64) -> (u64, f64) {
     (events / iters, start.elapsed().as_secs_f64() * 1e3 / iters as f64)
 }
 
-/// Pulls `experiment -> events_per_sec` rows out of a bench document.
-fn throughput_rows(doc: &Json) -> Vec<(String, f64)> {
-    let Some(Json::Arr(rows)) = doc.get("rows") else { return Vec::new() };
-    rows.iter()
-        .filter_map(|row| {
-            let name = row.get("experiment")?.as_str()?.to_owned();
-            let eps = row.get("events_per_sec")?.as_f64()?;
-            Some((name, eps))
-        })
-        .collect()
+/// The rows of a bench document.
+fn rows(doc: &Json) -> &[Json] {
+    match doc.get("rows") {
+        Some(Json::Arr(rows)) => rows,
+        _ => &[],
+    }
 }
 
-/// Warn-only diff of the fresh measurement against a committed baseline:
-/// prints one line per experiment and a GitHub-annotation-style `::warning::`
-/// when throughput dropped below `threshold` of the baseline. Never fails the
-/// run — the committed file was measured on different hardware.
-fn compare(current: &Json, baseline_text: &str, threshold: f64) {
-    let baseline = match report::parse(baseline_text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("::warning::baseline unreadable, skipping comparison: {e}");
-            return;
-        }
-    };
-    let base_rows = throughput_rows(&baseline);
-    for (experiment, now_eps) in throughput_rows(current) {
-        match base_rows.iter().find(|(name, _)| *name == experiment) {
-            Some((_, base_eps)) if *base_eps > 0.0 => {
-                let ratio = now_eps / base_eps;
-                eprintln!("{experiment}: {now_eps:.0} ev/s vs baseline {base_eps:.0} ({ratio:.2}x)");
-                if ratio < threshold {
-                    eprintln!(
-                        "::warning::{experiment} throughput {now_eps:.0} ev/s is below \
-                         {threshold:.2}x of the committed baseline {base_eps:.0} ev/s"
-                    );
-                }
+fn experiment(row: &Json) -> &str {
+    row.get("experiment").and_then(Json::as_str).unwrap_or("?")
+}
+
+/// The columns of a row that depend only on the code and the seed.
+fn deterministic(row: &Json) -> Json {
+    let column = |name: &str| row.get(name).cloned().unwrap_or(Json::Null);
+    Json::obj([("events", column("events")), ("telemetry", column("telemetry"))])
+}
+
+/// Diffs the fresh measurement against a committed baseline. Returns the
+/// deterministic drift, one line per differing column (or per row present
+/// on one side only). Throughput only warns: it prints one line per
+/// experiment and a GitHub-annotation-style `::warning::` when it dropped
+/// below `threshold` of the baseline, which was measured on other hardware.
+fn compare(current: &Json, baseline: &Json, threshold: f64) -> Vec<String> {
+    let mut drift = Vec::new();
+    for row in rows(current) {
+        let name = experiment(row);
+        let Some(base) = rows(baseline).iter().find(|b| experiment(b) == name) else {
+            drift.push(format!("{name}: no baseline row"));
+            continue;
+        };
+        drift.extend(
+            report::diff(&deterministic(base), &deterministic(row))
+                .into_iter()
+                .map(|d| format!("{name}: {d}")),
+        );
+        let eps = |r: &Json| r.get("events_per_sec").and_then(Json::as_f64).unwrap_or(0.0);
+        let (now_eps, base_eps) = (eps(row), eps(base));
+        if base_eps > 0.0 {
+            let ratio = now_eps / base_eps;
+            eprintln!("{name}: {now_eps:.0} ev/s vs baseline {base_eps:.0} ({ratio:.2}x)");
+            if ratio < threshold {
+                eprintln!(
+                    "::warning::{name} throughput {now_eps:.0} ev/s is below \
+                     {threshold:.2}x of the committed baseline {base_eps:.0} ev/s"
+                );
             }
-            _ => eprintln!("{experiment}: {now_eps:.0} ev/s (no baseline row)"),
         }
     }
+    for base in rows(baseline) {
+        let name = experiment(base);
+        if !rows(current).iter().any(|r| experiment(r) == name) {
+            drift.push(format!("{name}: baseline row missing from this run"));
+        }
+    }
+    drift
 }
 
 fn main() {
@@ -165,10 +182,11 @@ fn main() {
         .collect();
     let doc = Json::obj([("bench", "sweep".into()), ("iters", Json::U64(iters)), ("rows", Json::Arr(rows))]);
     let text = doc.to_canonical_string();
+    let mut drift = Vec::new();
     if let Some(path) = compare_path {
-        match std::fs::read_to_string(&path) {
-            Ok(baseline_text) => compare(&doc, &baseline_text, threshold),
-            Err(e) => eprintln!("::warning::cannot read baseline {path}: {e}"),
+        match std::fs::read_to_string(&path).map_err(|e| e.to_string()).and_then(|t| report::parse(&t)) {
+            Ok(baseline) => drift = compare(&doc, &baseline, threshold),
+            Err(e) => drift.push(format!("cannot read baseline {path}: {e}")),
         }
     }
     match out {
@@ -180,5 +198,12 @@ fn main() {
             eprintln!("wrote {path}");
         }
         None => print!("{text}"),
+    }
+    if !drift.is_empty() {
+        for line in &drift {
+            eprintln!("::error::{line}");
+        }
+        eprintln!("deterministic columns differ from the baseline: behaviour changed, not just speed");
+        std::process::exit(1);
     }
 }

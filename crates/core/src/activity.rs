@@ -161,7 +161,7 @@ mod tests {
             .fs
             .write(
                 &malsim_os::path::WinPath::new(r"C:\Users\user\Documents\deal.docx"),
-                malsim_os::fs::FileData::Bytes(vec![0; 64_000]),
+                malsim_os::fs::FileData::Bytes(vec![0; 64_000].into()),
                 sim.now(),
             )
             .unwrap();

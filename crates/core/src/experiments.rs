@@ -482,7 +482,7 @@ pub fn e7_candc_dataflow(seed: u64, clients: usize, servers: usize, days: u64) -
             let path = malsim_os::path::WinPath::new(format!(r"C:\Users\user\Documents\file-{d}.{ext}"));
             world.hosts[host]
                 .fs
-                .write(&path, malsim_os::fs::FileData::Bytes(vec![0; size]), sim.now())
+                .write(&path, malsim_os::fs::FileData::Bytes(vec![0; size].into()), sim.now())
                 .expect("valid path");
         }
         flame::client::infect_host(&mut world, &mut sim, host, "seed");
@@ -532,7 +532,7 @@ pub fn e8_exfil_ablation_t(seed: u64, clients: usize, days: u64, threads: usize)
                 let path = malsim_os::path::WinPath::new(format!(r"C:\Users\user\Documents\f{d}.{ext}"));
                 world.hosts[host]
                     .fs
-                    .write(&path, malsim_os::fs::FileData::Bytes(vec![0; size]), sim.now())
+                    .write(&path, malsim_os::fs::FileData::Bytes(vec![0; size].into()), sim.now())
                     .expect("valid path");
             }
             flame::client::infect_host(&mut world, &mut sim, host, "seed");
@@ -942,7 +942,7 @@ fn e13_point_opt(
                 let path = malsim_os::path::WinPath::new(format!(r"C:\Users\user\Documents\file-{d}.{ext}"));
                 world.hosts[host]
                     .fs
-                    .write(&path, malsim_os::fs::FileData::Bytes(vec![0; size]), sim.now())
+                    .write(&path, malsim_os::fs::FileData::Bytes(vec![0; size].into()), sim.now())
                     .expect("valid path");
             }
             flame::client::infect_host(&mut world, &mut sim, host, "seed");

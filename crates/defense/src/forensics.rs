@@ -88,7 +88,7 @@ mod tests {
     fn infected_host() -> Host {
         let mut h = Host::new("victim", WindowsVersion::Seven, HostRole::Workstation, t0());
         let payload = WinPath::expand(r"%system%\mssecmgr.ocx");
-        h.fs.write(&payload, FileData::Bytes(vec![0; 1024]), t0()).unwrap();
+        h.fs.write(&payload, FileData::Bytes(vec![0; 1024].into()), t0()).unwrap();
         h.fs.set_hidden(&payload, true).unwrap();
         h.services.create_service("WSvc", payload.clone(), true, t0()).unwrap();
         h.registry.set(r"HKLM\Software\Run\WSvc", "autostart");

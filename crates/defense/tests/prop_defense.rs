@@ -66,7 +66,7 @@ proptest! {
         let mut indicators = Vec::new();
         for f in &present_files {
             let p = WinPath::new(format!(r"C:\mal\{f}"));
-            host.fs.write(&p, FileData::Bytes(vec![1]), SimTime::EPOCH).unwrap();
+            host.fs.write(&p, FileData::Bytes(vec![1].into()), SimTime::EPOCH).unwrap();
             indicators.push(Indicator::File(p));
         }
         for f in &absent_files {

@@ -36,6 +36,20 @@
 //! of events lands in few buckets, narrow enough that one bucket rarely holds
 //! many distinct times. All of this is deterministic: layout depends only on
 //! the sequence of operations, and dispatch order is independent of layout.
+//!
+//! # Insertion hint
+//!
+//! No width keeps a batch of ties out of a chain that also holds later
+//! events: a bucket spans a range of times, and times a whole ring apart
+//! share a bucket too (see DESIGN.md §7). When such a bucket's tail
+//! is later than a new event, [`CalQueue::insert`] must walk the chain to the
+//! insertion point, and re-arming a tie batch one event at a time would walk
+//! past every tie already re-armed. The queue therefore remembers the node it
+//! linked last. While that node stays chained, an insert into the same
+//! bucket at an equal or later time starts its walk there: every node ahead
+//! of the hint is no later than it, so the insertion point is the same and
+//! only the walk is shorter. Unchaining the hint node clears it, and so does
+//! any purge or rebuild.
 
 use crate::ids::{GenSlab, SlotRef};
 use crate::time::SimTime;
@@ -115,6 +129,9 @@ pub struct CalQueue<T> {
     linked: usize,
     /// Chained nodes that still hold a payload.
     live: usize,
+    /// Slot of the node linked last, or `NIL` once it left its chain (see
+    /// the module docs' *Insertion hint*).
+    hint: u32,
     next_seq: u64,
     resizes: u64,
     tombstone_reaps: u64,
@@ -167,6 +184,7 @@ impl<T> CalQueue<T> {
             cursor: 0,
             linked: 0,
             live: 0,
+            hint: NIL,
             next_seq: 0,
             resizes: 0,
             tombstone_reaps: 0,
@@ -423,12 +441,15 @@ impl<T> CalQueue<T> {
             self.buckets[b] = List::EMPTY;
         }
         self.linked = 0;
+        self.hint = NIL;
     }
 
     /// Chains an occupied slot into its bucket at the position that keeps the
     /// chain time-sorted. New nodes go *after* existing nodes of the same
     /// time, so FIFO-per-timestamp holds structurally. Appending at the tail
-    /// (monotone schedules, same-timestamp fan-out) is O(1).
+    /// (monotone schedules, same-timestamp fan-out) is O(1), and so is
+    /// linking right behind the previously linked node (a tie batch re-armed
+    /// into a bucket whose tail is later).
     fn link(&mut self, idx: u32) {
         let node = self.slab.get_index(idx as usize).expect("linking an occupied slot");
         let time = node.time;
@@ -442,6 +463,16 @@ impl<T> CalQueue<T> {
         }
         let mask = self.buckets.len() as u64 - 1;
         let b = (vbucket & mask) as usize;
+        let hint = std::mem::replace(&mut self.hint, idx);
+        debug_assert!(
+            hint == NIL
+                || hint != idx
+                    && self
+                        .slab
+                        .get_index(hint as usize)
+                        .is_some_and(|h| matches!(h.state, NodeState::Queued(_) | NodeState::Tombstone)),
+            "the hint is cleared whenever its node leaves its chain"
+        );
         let list = self.buckets[b];
         if list.tail == NIL {
             self.buckets[b] = List { head: idx, tail: idx };
@@ -454,8 +485,15 @@ impl<T> CalQueue<T> {
             return;
         }
         // Walk to the first node strictly later than `time`; insert before it.
-        let mut prev = NIL;
-        let mut cur = list.head;
+        // The walk starts at the hint when it sits in this bucket no later
+        // than `time`: nothing ahead of it can be the insertion point.
+        let (mut prev, mut cur) = (NIL, list.head);
+        if hint != NIL {
+            let h = self.slab.get_index(hint as usize).expect("the hint is chained");
+            if h.time <= time && ((h.time >> self.shift) & mask) as usize == b {
+                (prev, cur) = (hint, h.next);
+            }
+        }
         loop {
             debug_assert!(cur != NIL, "tail check guarantees a later node exists");
             let cur_time = self.slab.get_index(cur as usize).expect("chained slot is occupied").time;
@@ -476,6 +514,9 @@ impl<T> CalQueue<T> {
     fn unlink_head(&mut self, b: usize) {
         let head = self.buckets[b].head;
         debug_assert!(head != NIL, "unlink_head on an empty bucket");
+        if head == self.hint {
+            self.hint = NIL;
+        }
         let node = self.slab.get_index_mut(head as usize).expect("chained slot is occupied");
         let next = std::mem::replace(&mut node.next, NIL);
         self.buckets[b].head = next;
@@ -502,6 +543,7 @@ impl<T> CalQueue<T> {
     /// in `(time, seq)` order so every relink is a tail append.
     fn rebuild(&mut self) {
         self.resizes += 1;
+        self.hint = NIL;
         let mut order: Vec<(u64, u64, u32)> = Vec::with_capacity(self.live);
         for b in 0..self.buckets.len() {
             let mut cur = self.buckets[b].head;
@@ -764,6 +806,52 @@ mod tests {
         assert!(q.resizes() > 0);
         assert_eq!(q.tombstone_reaps(), reaped_before + 50, "rebuild reaped the cancelled half");
         assert_eq!(q.len(), q.live_len(), "no tombstones survive a rebuild");
+    }
+
+    /// E9 at the paper's scale: each of 3,003 hosts queues its wiper
+    /// detonation at the trigger, then a spread timer that every host re-arms
+    /// in lock-step each half hour until the trigger. The ~37 h buckets the
+    /// queue picks for that population put the last day and more of tie
+    /// batches in the trigger's bucket, ahead of the 3,003 detonations, which
+    /// is where the insertion hint matters; order must hold throughout.
+    #[test]
+    fn e9_tie_batches_rearm_ahead_of_later_events_in_one_bucket() {
+        const HOSTS: u64 = 3_003;
+        const HALF_HOUR: u64 = 30 * 60 * 1000;
+        let trigger = SimTime::from_utc(2012, 8, 15, 8, 8, 0).as_millis();
+        let first_round = SimTime::from_utc(2012, 8, 13, 7, 0, 0).as_millis();
+        let mut q: CalQueue<(bool, u64)> = CalQueue::new();
+        // The reference order: `(time, insertion sequence)`.
+        let mut model = std::collections::BTreeMap::new();
+        let mut seq = 0u64;
+        for host in 0..HOSTS {
+            for (time, detonation) in [(trigger, true), (first_round, false)] {
+                q.insert(ms(time), (detonation, host));
+                model.insert((time, seq), (detonation, host));
+                seq += 1;
+            }
+        }
+        assert_eq!(q.bucket_width_ms(), 1 << 27, "the ~37 h buckets E9 gets");
+        let mut rearms_ahead_of_the_trigger = 0u64;
+        while let Some((time, event)) = q.pop() {
+            let ((want_time, _), want) = model.pop_first().expect("the model has the event");
+            assert_eq!((time.as_millis(), event), (want_time, want));
+            let (detonation, host) = event;
+            let next = time.as_millis() + HALF_HOUR;
+            if !detonation && next <= trigger {
+                if next < trigger && next >> 27 == trigger >> 27 {
+                    rearms_ahead_of_the_trigger += 1;
+                }
+                q.insert(ms(next), (false, host));
+                model.insert((next, seq), (false, host));
+                seq += 1;
+            }
+        }
+        assert!(model.is_empty());
+        assert!(
+            rearms_ahead_of_the_trigger >= 10 * HOSTS,
+            "tie batches shared the detonations' bucket for only {rearms_ahead_of_the_trigger} re-arms"
+        );
     }
 
     #[test]

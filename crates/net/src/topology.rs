@@ -75,6 +75,8 @@ impl Zone {
 pub struct Topology {
     zones: Arena<ZoneId, Zone>,
     placement: BTreeMap<HostId, ZoneId>,
+    /// Bumped by every [`Topology::place`].
+    generation: u64,
 }
 
 impl Topology {
@@ -100,6 +102,14 @@ impl Topology {
             self.zones[old].hosts.retain(|h| *h != host);
         }
         self.zones[zone].hosts.push(host);
+        self.generation += 1;
+    }
+
+    /// Zone-membership generation: changes whenever a host is placed or
+    /// moved, so anything cached from [`Zone::hosts`] is current exactly
+    /// while this value is unchanged.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The zone a host is in.
@@ -228,7 +238,9 @@ mod tests {
         let a = t.add_zone("a", true);
         let b = t.add_zone("b", true);
         t.place(h(0), a);
+        let before = t.generation();
         t.place(h(0), b);
+        assert_ne!(t.generation(), before, "a move changes the membership generation");
         assert!(t.zone(a).hosts().is_empty());
         assert_eq!(t.zone(b).hosts(), &[h(0)]);
         assert_eq!(t.zone_of(h(0)), Some(b));

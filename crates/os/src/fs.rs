@@ -7,6 +7,7 @@
 //! lines, and plain bytes cover everything else.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use malsim_kernel::time::SimTime;
 use malsim_pe::image::Image;
@@ -17,8 +18,12 @@ use crate::path::WinPath;
 /// Typed file contents.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FileData {
-    /// Opaque bytes (documents, logs, payload fragments).
-    Bytes(Vec<u8>),
+    /// Opaque bytes (documents, logs, payload fragments). Shared, so a
+    /// payload written to many files (a wiper's overwrite pattern) is held
+    /// once. The `Arc` wraps a `Vec` rather than holding the bytes inline so
+    /// that wrapping content never copies it: a zero-filled document keeps
+    /// the untouched pages its allocation came with.
+    Bytes(Arc<Vec<u8>>),
     /// An executable image in the workspace's toy PE format.
     Executable(Image),
     /// A Windows shortcut. `exploit_payload` models a malformed LNK that
@@ -55,6 +60,37 @@ impl FileData {
     }
 }
 
+/// File content built once per process, on first use, and shared by every
+/// file written with it: a dropped payload or overwrite pattern that lands
+/// on thousands of hosts is held in memory once.
+///
+/// # Examples
+///
+/// ```
+/// use malsim_os::fs::{FileData, SharedPayload};
+///
+/// static MODULE: SharedPayload = SharedPayload::filled(0x53, 4);
+/// assert_eq!(FileData::Bytes(MODULE.bytes()), FileData::Bytes(vec![0x53; 4].into()));
+/// ```
+#[derive(Debug)]
+pub struct SharedPayload {
+    byte: u8,
+    len: usize,
+    body: OnceLock<Arc<Vec<u8>>>,
+}
+
+impl SharedPayload {
+    /// `len` bytes of `byte`.
+    pub const fn filled(byte: u8, len: usize) -> SharedPayload {
+        SharedPayload { byte, len, body: OnceLock::new() }
+    }
+
+    /// The shared content.
+    pub fn bytes(&self) -> Arc<Vec<u8>> {
+        Arc::clone(self.body.get_or_init(|| Arc::new(vec![self.byte; self.len])))
+    }
+}
+
 /// A file plus metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FileNode {
@@ -79,7 +115,7 @@ pub struct FileNode {
 ///
 /// let mut fs = Vfs::new();
 /// let p = WinPath::new(r"C:\docs\plan.docx");
-/// fs.write(&p, FileData::Bytes(vec![1, 2, 3]), SimTime::EPOCH)?;
+/// fs.write(&p, FileData::Bytes(vec![1, 2, 3].into()), SimTime::EPOCH)?;
 /// assert!(fs.exists(&p));
 /// assert_eq!(fs.read(&p)?.data.len(), 3);
 /// # Ok::<(), malsim_os::error::FsError>(())
@@ -234,9 +270,14 @@ impl Vfs {
     /// # Errors
     ///
     /// Returns [`FsError::NotFound`] if absent.
-    pub fn overwrite(&mut self, path: &WinPath, bytes: Vec<u8>, now: SimTime) -> Result<(), FsError> {
+    pub fn overwrite(
+        &mut self,
+        path: &WinPath,
+        bytes: impl Into<Arc<Vec<u8>>>,
+        now: SimTime,
+    ) -> Result<(), FsError> {
         let node = self.read_mut(path)?;
-        node.data = FileData::Bytes(bytes);
+        node.data = FileData::Bytes(bytes.into());
         node.modified = now;
         Ok(())
     }
@@ -251,7 +292,7 @@ mod tests {
     }
 
     fn bytes(n: usize) -> FileData {
-        FileData::Bytes(vec![0xAB; n])
+        FileData::Bytes(vec![0xAB; n].into())
     }
 
     #[test]
@@ -338,7 +379,8 @@ mod tests {
         let node = fs.read(&p).unwrap();
         assert_eq!(node.created, t(1));
         assert_eq!(node.modified, t(50));
-        assert_eq!(node.data, FileData::Bytes(vec![0xFF; 4]));
+        assert_eq!(node.data, FileData::Bytes(vec![0xFF; 4].into()));
+        assert_eq!(format!("{:?}", node.data), "Bytes([255, 255, 255, 255])");
         assert!(matches!(
             fs.overwrite(&WinPath::new(r"C:\none"), vec![], t(51)),
             Err(FsError::NotFound { .. })

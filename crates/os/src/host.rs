@@ -8,12 +8,16 @@ use malsim_kernel::time::SimTime;
 
 use crate::disk::Disk;
 use crate::error::HostError;
-use crate::fs::{FileData, Vfs};
+use crate::fs::{FileData, SharedPayload, Vfs};
 use crate::patches::{Bulletin, PatchState};
 use crate::path::WinPath;
 use crate::registry::Registry;
 use crate::services::ServiceManager;
 use crate::usb::UsbId;
+
+/// Body of the marker file seeded into each profile folder, shared by every
+/// host.
+static MARKER_FILE_BODY: SharedPayload = SharedPayload::filled(0, 16);
 
 define_id!(
     /// Identifies a host in a scenario.
@@ -147,7 +151,7 @@ impl Host {
         for dir in ["Documents", "Pictures", "Desktop", "Downloads"] {
             // Seed with a marker file so folder scans have structure to find.
             let p = WinPath::new(format!(r"C:\Users\user\{dir}\desktop.ini"));
-            fs.write(&p, FileData::Bytes(vec![0; 16]), now).expect("valid seed path");
+            fs.write(&p, FileData::Bytes(MARKER_FILE_BODY.bytes()), now).expect("valid seed path");
         }
         Host {
             name,

@@ -34,7 +34,7 @@
 //!
 //! // Drop a file where a dropper would.
 //! let target = WinPath::expand(r"%system%\netinit.exe");
-//! host.fs.write(&target, FileData::Bytes(vec![0; 900 * 1024]), now)?;
+//! host.fs.write(&target, FileData::Bytes(vec![0; 900 * 1024].into()), now)?;
 //! assert!(host.fs.exists(&target));
 //!
 //! // Raw disk writes need a capability-granting driver.

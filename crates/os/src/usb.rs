@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn malicious_lnk_set() {
         let mut usb = UsbDrive::new("conference gift");
-        usb.plant_malicious_lnk("~wtr4132.tmp", FileData::Bytes(vec![0; 16]), t(1));
+        usb.plant_malicious_lnk("~wtr4132.tmp", FileData::Bytes(vec![0; 16].into()), t(1));
         let lnks = usb.fs.find_by_extension(&["lnk"], false);
         assert_eq!(lnks.len(), 4, "one per shell flavour");
         // Payload itself is hidden.
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn autorun_planting() {
         let mut usb = UsbDrive::new("U");
-        usb.plant_autorun("loader.exe", FileData::Bytes(vec![1]), t(1));
+        usb.plant_autorun("loader.exe", FileData::Bytes(vec![1].into()), t(1));
         let inf = usb.fs.read(&WinPath::new(r"E:\autorun.inf")).unwrap();
         assert!(matches!(&inf.data, FileData::Autorun { run } if run.as_str().contains("loader.exe")));
     }

@@ -51,14 +51,14 @@ proptest! {
                 fs.delete(&p).unwrap();
                 model.remove(&key);
             } else {
-                fs.write(&p, FileData::Bytes(bytes.clone()), SimTime::from_millis(clock)).unwrap();
+                fs.write(&p, FileData::Bytes(bytes.clone().into()), SimTime::from_millis(clock)).unwrap();
                 model.insert(key, bytes);
             }
         }
         prop_assert_eq!(fs.len(), model.len());
         for (key, bytes) in &model {
             let node = fs.read(&WinPath::new(key)).unwrap();
-            prop_assert_eq!(&node.data, &FileData::Bytes(bytes.clone()));
+            prop_assert_eq!(&node.data, &FileData::Bytes(bytes.clone().into()));
         }
         let total: usize = model.values().map(Vec::len).sum();
         prop_assert_eq!(fs.total_size(), total);
@@ -71,7 +71,7 @@ proptest! {
         let mut fs = Vfs::new();
         for (path, hidden) in &files {
             let p = WinPath::new(path);
-            fs.write(&p, FileData::Bytes(vec![1]), SimTime::EPOCH).unwrap();
+            fs.write(&p, FileData::Bytes(vec![1].into()), SimTime::EPOCH).unwrap();
             fs.set_hidden(&p, *hidden).unwrap();
         }
         let root = WinPath::new("C:");
@@ -86,7 +86,7 @@ proptest! {
     fn extension_search_agrees_with_path_predicate(paths in proptest::collection::vec(path_strategy(), 1..30)) {
         let mut fs = Vfs::new();
         for p in &paths {
-            fs.write(&WinPath::new(p), FileData::Bytes(vec![]), SimTime::EPOCH).unwrap();
+            fs.write(&WinPath::new(p), FileData::Bytes(Vec::new().into()), SimTime::EPOCH).unwrap();
         }
         let hits = fs.find_by_extension(&["docx", "txt"], true).len();
         let expected = fs

@@ -23,7 +23,7 @@ fn main() {
         let host = HostId::new(i);
         for (name, size) in [("contract.docx", 300_000), ("site-plan.dwg", 900_000), ("notes.txt", 4_000)] {
             let p = WinPath::new(format!(r"C:\Users\user\Documents\{name}"));
-            world.hosts[host].fs.write(&p, FileData::Bytes(vec![0; size]), sim.now()).unwrap();
+            world.hosts[host].fs.write(&p, FileData::Bytes(vec![0; size].into()), sim.now()).unwrap();
         }
     }
 
@@ -51,7 +51,11 @@ fn main() {
     world.topology.place(iso_id, airgap);
     world.hosts[iso_id]
         .fs
-        .write(&WinPath::new(r"C:\classified\design.dwg"), FileData::Bytes(vec![0; 700_000]), sim.now())
+        .write(
+            &WinPath::new(r"C:\classified\design.dwg"),
+            FileData::Bytes(vec![0; 700_000].into()),
+            sim.now(),
+        )
         .unwrap();
     flame::client::infect_host(&mut world, &mut sim, iso_id, "usb");
     let courier = world.usb_drives.push(UsbDrive::new("courier"));

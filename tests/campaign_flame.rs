@@ -64,7 +64,7 @@ fn collection_pipeline_delivers_triaged_content_to_attack_center() {
             .fs
             .write(
                 &WinPath::new(r"C:\Users\user\Documents\secret.docx"),
-                FileData::Bytes(vec![0; 250_000]),
+                FileData::Bytes(vec![0; 250_000].into()),
                 sim.now(),
             )
             .unwrap();
@@ -72,7 +72,7 @@ fn collection_pipeline_delivers_triaged_content_to_attack_center() {
             .fs
             .write(
                 &WinPath::new(r"C:\Users\user\Documents\shopping.txt"),
-                FileData::Bytes(vec![0; 250_000]),
+                FileData::Bytes(vec![0; 250_000].into()),
                 sim.now(),
             )
             .unwrap();
@@ -155,7 +155,7 @@ fn air_gap_ferry_and_suicide_interact_correctly() {
     world.topology.place(vault, airgap);
     world.hosts[vault]
         .fs
-        .write(&WinPath::new(r"C:\vault\plans.pdf"), FileData::Bytes(vec![0; 123_000]), sim.now())
+        .write(&WinPath::new(r"C:\vault\plans.pdf"), FileData::Bytes(vec![0; 123_000].into()), sim.now())
         .unwrap();
     flame::client::infect_host(&mut world, &mut sim, HostId::new(0), "seed");
     flame::client::infect_host(&mut world, &mut sim, vault, "usb");

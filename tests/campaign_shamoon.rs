@@ -35,7 +35,7 @@ fn wiped_files_show_the_truncated_fragment_bug() {
     let (mut world, mut sim, _pki) = aug_2012_fleet(2, 1, 2);
     let victim = HostId::new(1);
     let doc = WinPath::new(r"C:\Users\user\Documents\ledger.xls");
-    world.hosts[victim].fs.write(&doc, FileData::Bytes(vec![0x11; 800_000]), sim.now()).unwrap();
+    world.hosts[victim].fs.write(&doc, FileData::Bytes(vec![0x11; 800_000].into()), sim.now()).unwrap();
     shamoon::dropper::infect_host(&mut world, &mut sim, victim, "phish");
     sim.run_until(&mut world, shamoon::aramco_trigger() + SimDuration::from_mins(5));
     let node = world.hosts[victim].fs.read(&doc).unwrap();

@@ -84,6 +84,19 @@ fn e9_small_scale_shamoon_shape() {
     assert!(r.hours_to_trigger > 24.0);
 }
 
+/// E9 at the paper's scale, ~30,000 workstations: the run the `aramco`
+/// benchmark workload times, with its event count and result row pinned.
+#[test]
+fn e9_at_aramco_scale_wipes_every_seeded_site() {
+    let run = experiments::e9_shamoon_wipe_run(815, 30, 1000, 3);
+    assert_eq!(run.sim.executed(), 303_306);
+    assert_eq!(
+        run.result.to_json().to_canonical_string(),
+        "{\n  \"fleet\": 30030,\n  \"infected\": 3003,\n  \"bricked\": 3003,\n  \"reports\": 3003,\n  \
+         \"hours_to_trigger\": 50.13333333333333\n}\n"
+    );
+}
+
 #[test]
 fn e10_trend_matrix_has_paper_shape() {
     let profiles = experiments::e10_trend_matrix(11);

@@ -35,6 +35,9 @@ enum Op {
     SchedulePast { back_ms: u64, nested: Vec<Op> },
     /// Cancel the `target % issued`-th handle, logging the returned bool.
     Cancel { target: usize },
+    /// Cancel the most recently issued handle: the event the queue linked
+    /// last, unless a repeating event has re-armed since.
+    CancelNewest,
     /// `schedule_every(period)` firing `fires` times before stopping.
     Every { period_ms: u64, fires: u32 },
 }
@@ -129,6 +132,9 @@ fn exec_real(op: &Op, w: &mut RealWorld, sim: &mut Sim<RealWorld>) {
                 w.log.push(Obs::Cancelled { target: i, stopped });
             }
         }
+        Op::CancelNewest => {
+            exec_real(&Op::Cancel { target: w.handles.len().saturating_sub(1) }, w, sim);
+        }
         Op::Every { period_ms, fires } => {
             let tag = w.next_tag;
             w.next_tag += 1;
@@ -222,6 +228,7 @@ impl ModelSim {
                     self.log.push(Obs::Cancelled { target: i, stopped });
                 }
             }
+            Op::CancelNewest => self.exec(&Op::Cancel { target: self.pending_key.len().saturating_sub(1) }),
             Op::Every { period_ms, fires } => {
                 let tag = self.next_tag;
                 self.next_tag += 1;
@@ -289,8 +296,14 @@ fn check_seed(seed: u64) {
     let mut g = Gen(seed.wrapping_mul(0x9e37_79b9).wrapping_add(seed));
     let top_level = 4 + g.below(40) as usize;
     let program = gen_ops(&mut g, top_level, 2);
-    let (real_log, real_executed, real_stats) = run_real(&program);
-    let (model_log, model_executed) = run_model(&program);
+    check_program(seed, &program);
+}
+
+/// Runs one program through both schedulers and demands the same log,
+/// executed count and tombstone reaps.
+fn check_program(seed: u64, program: &[Op]) {
+    let (real_log, real_executed, real_stats) = run_real(program);
+    let (model_log, model_executed) = run_model(program);
     if real_log != model_log {
         let first = real_log
             .iter()
@@ -369,5 +382,46 @@ fn sparse_far_future_programs_match_the_model() {
         let (real_log, _, _) = run_real(&program);
         let (model_log, _) = run_model(&program);
         assert_eq!(real_log, model_log, "seed {seed} diverged (sparse)");
+    }
+}
+
+/// The shape the calendar queue's insertion hint serves, and every way the
+/// hint is invalidated. All events start inside the first bucket (the
+/// default 1024 ms width until the ring first resizes): batches of ties sit
+/// ahead of a later event in that bucket, so links walk the chain. Tie
+/// events fire nested ops between pops — more ties, cancels of the event
+/// linked last, `schedule_every` re-arms into the tie run — and some
+/// programs grow past the first resize, which re-derives the width.
+#[test]
+fn tie_runs_ahead_of_a_later_event_match_the_model() {
+    fn tie_nested(g: &mut Gen) -> Vec<Op> {
+        (0..g.below(4))
+            .map(|_| match g.below(4) {
+                0 => Op::Schedule { delay_ms: g.below(3) * 100, nested: Vec::new() },
+                1 => Op::CancelNewest,
+                2 => Op::Every { period_ms: 100, fires: 1 + g.below(4) as u32 },
+                _ => Op::Cancel { target: g.below(64) as usize },
+            })
+            .collect()
+    }
+    for seed in 0..seeds() / 2 {
+        let mut g = Gen(seed.wrapping_mul(0xa076_1d64_78bd_642f).wrapping_add(7));
+        // The later event every tie run sits ahead of.
+        let mut program = vec![Op::Schedule { delay_ms: 900 + g.below(100), nested: Vec::new() }];
+        let batches = 2 + g.below(6);
+        let growth = if g.below(2) == 0 { 40 + g.below(40) } else { 0 };
+        for _ in 0..batches + growth {
+            let at = g.below(8) * 100;
+            for _ in 0..1 + g.below(6) {
+                program.push(Op::Schedule { delay_ms: at, nested: tie_nested(&mut g) });
+            }
+            match g.below(4) {
+                0 => program.push(Op::CancelNewest),
+                1 => program
+                    .push(Op::Every { period_ms: 100 * (1 + g.below(3)), fires: 1 + g.below(5) as u32 }),
+                _ => {}
+            }
+        }
+        check_program(seed, &program);
     }
 }
