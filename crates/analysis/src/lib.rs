@@ -32,6 +32,6 @@ pub mod trends;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::table::Table;
-    pub use crate::timeline::{causal_chains, spread_stats, Milestone, SpreadStats, Timeline};
+    pub use crate::timeline::{causal_chains, Milestone, Timeline};
     pub use crate::trends::{derive_profiles, trend_table, TrendProfile};
 }

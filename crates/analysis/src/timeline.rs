@@ -129,28 +129,6 @@ pub fn causal_chains(spans: &SpanLog) -> String {
     out
 }
 
-/// Infection-curve statistics computed from a counter series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpreadStats {
-    /// Final infected count.
-    pub final_count: f64,
-    /// Time from the first to the last new infection.
-    pub spread_window: SimDuration,
-    /// Peak new infections within any single series interval.
-    pub peak_rate: f64,
-}
-
-/// Computes spread statistics from an `infected`-style monotone series.
-pub fn spread_stats(points: &[(SimTime, f64)]) -> Option<SpreadStats> {
-    let (first_t, _) = *points.first()?;
-    let (last_t, last_v) = *points.last()?;
-    let mut peak: f64 = 0.0;
-    for pair in points.windows(2) {
-        peak = peak.max(pair[1].1 - pair[0].1);
-    }
-    Some(SpreadStats { final_count: last_v, spread_window: last_t - first_t, peak_rate: peak.max(0.0) })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,16 +172,6 @@ mod tests {
         log.record(t(1), TraceCategory::Infection, "h", "x");
         let tl = Timeline::from_trace(&log);
         assert_eq!(tl.detection_latency(), None);
-    }
-
-    #[test]
-    fn spread_statistics() {
-        let pts = vec![(t(0), 1.0), (t(100), 4.0), (t(200), 5.0), (t(500), 30.0)];
-        let s = spread_stats(&pts).unwrap();
-        assert_eq!(s.final_count, 30.0);
-        assert_eq!(s.spread_window, SimDuration::from_millis(500));
-        assert_eq!(s.peak_rate, 25.0);
-        assert!(spread_stats(&[]).is_none());
     }
 
     #[test]

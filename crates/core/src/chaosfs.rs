@@ -150,7 +150,7 @@ pub enum IoFaultKind {
 
 impl IoFaultKind {
     /// Every kind, in label-table order (see
-    /// [`telemetry`](crate::telemetry)'s `chaos_faults_injected{kind}`).
+    /// [`telemetry`]'s `chaos_faults_injected{kind}`).
     pub const ALL: [IoFaultKind; 7] = [
         IoFaultKind::FsyncFail,
         IoFaultKind::ShortWrite,

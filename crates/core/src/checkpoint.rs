@@ -2,7 +2,7 @@
 //!
 //! A supervised sweep appends one line to a checkpoint file (`sweep.ckpt`)
 //! after each point finishes — compact canonical JSON (the
-//! [`report`](crate::report) writer, so `serialize ∘ parse` is the identity)
+//! [`report`] writer, so `serialize ∘ parse` is the identity)
 //! carrying the point's status, its result row, an FNV-1a hash of that row,
 //! and any invariant violations. A later `--resume` run replays the file,
 //! verifies each record's hash, keeps the completed and truncated points,
@@ -862,26 +862,14 @@ pub(crate) fn outcome_record(point: usize, outcome: PointOutcome<Json>) -> Check
 /// on a resumed run that only re-runs a subset, so per-point seeds never
 /// shift. It returns the point's report row as [`Json`] inside a
 /// [`PointRun`]; panics are quarantined per the supervisor's retry budget.
-pub fn run_checkpointed<P, F>(
-    cfg: &CheckpointConfig<'_>,
-    points: &[P],
-    run_point: F,
-) -> Result<SweepOutcomes, CheckpointError>
-where
-    P: Sync + std::fmt::Debug,
-    F: Fn(&SweepCtx, &P) -> PointRun<Json> + Sync,
-{
-    run_checkpointed_fallible(cfg, points, |ctx, p| Ok(run_point(ctx, p)))
-}
-
-/// Like [`run_checkpointed`], for point functions that can fail with a typed
-/// script fault instead of a row.
 ///
-/// A faulting point is recorded as [`PointStatus::ScriptFault`] after a
-/// single attempt — script faults are deterministic, so retrying would burn
-/// the panic budget for nothing — and, unlike poisoned points, the record is
-/// **kept** on resume: re-running it would only reproduce the same fault.
-pub fn run_checkpointed_fallible<P, F>(
+/// A point can instead fail with a typed script fault. It is recorded as
+/// [`PointStatus::ScriptFault`] after a single attempt — script faults are
+/// deterministic, so retrying would burn the panic budget for nothing — and,
+/// unlike poisoned points, the record is **kept** on resume: re-running it
+/// would only reproduce the same fault. Points that cannot fault return
+/// `Ok(..)`.
+pub fn run_checkpointed<P, F>(
     cfg: &CheckpointConfig<'_>,
     points: &[P],
     run_point: F,
@@ -916,7 +904,7 @@ where
     let supervisor = cfg.supervisor;
     let fresh = sweep::run(cfg.experiment, cfg.base_seed, &todo, cfg.pool.resolve(), |_, &(orig, p)| {
         let ctx = SweepCtx { experiment: cfg.experiment, point: orig, base_seed: cfg.base_seed };
-        let record = outcome_record(orig, sweep::supervised_point_fallible(&ctx, &supervisor, p, &run_point));
+        let record = outcome_record(orig, sweep::supervised_point(&ctx, &supervisor, p, &run_point));
         let written = writer.record(cfg.experiment, cfg.base_seed, &record);
         telemetry::sample_boundary();
         (record, written)
@@ -1128,7 +1116,10 @@ mod tests {
     fn checkpointed_sweep_resumes_exactly() {
         let points: Vec<u64> = (0..6).collect();
         let eval = |ctx: &SweepCtx, &p: &u64| {
-            PointRun::complete(Json::obj([("param", Json::U64(p)), ("seed", Json::U64(ctx.derived_seed()))]))
+            Ok(PointRun::complete(Json::obj([
+                ("param", Json::U64(p)),
+                ("seed", Json::U64(ctx.derived_seed())),
+            ])))
         };
         let full_path = temp_path("resume-full");
         let cfg = CheckpointConfig {
@@ -1185,7 +1176,7 @@ mod tests {
             if p == 1 && fail.load(Ordering::SeqCst) {
                 panic!("transient environment failure");
             }
-            PointRun::complete(Json::U64(p))
+            Ok(PointRun::complete(Json::U64(p)))
         };
         let cfg = CheckpointConfig {
             experiment: "poison",
@@ -1238,7 +1229,7 @@ mod tests {
             resume: false,
             backend: None,
         };
-        let full = run_checkpointed_fallible(&cfg, &points, eval).unwrap();
+        let full = run_checkpointed(&cfg, &points, eval).unwrap();
         let full_report = full.report().to_canonical_string();
         assert_eq!(full.points[2].record.status, PointStatus::ScriptFault);
         assert_eq!(full.points[2].record.script_id.as_deref(), Some("bomb.flua"));
@@ -1252,12 +1243,9 @@ mod tests {
         let full_text = std::fs::read_to_string(&full_path).unwrap();
         let lines: Vec<&str> = full_text.lines().take(4).collect();
         std::fs::write(&partial_path, format!("{}\n", lines.join("\n"))).unwrap();
-        let resumed = run_checkpointed_fallible(
-            &CheckpointConfig { path: &partial_path, resume: true, ..cfg },
-            &points,
-            eval,
-        )
-        .unwrap();
+        let resumed =
+            run_checkpointed(&CheckpointConfig { path: &partial_path, resume: true, ..cfg }, &points, eval)
+                .unwrap();
         assert_eq!(
             resumed.report().to_canonical_string(),
             full_report,
@@ -1312,7 +1300,10 @@ mod tests {
         use crate::chaosfs::{ChaosFs, FaultSchedule};
         let points: Vec<u64> = (0..5).collect();
         let eval = |ctx: &SweepCtx, &p: &u64| {
-            PointRun::complete(Json::obj([("param", Json::U64(p)), ("seed", Json::U64(ctx.derived_seed()))]))
+            Ok(PointRun::complete(Json::obj([
+                ("param", Json::U64(p)),
+                ("seed", Json::U64(ctx.derived_seed())),
+            ])))
         };
         let clean_path = temp_path("enospc-clean");
         let cfg = CheckpointConfig {

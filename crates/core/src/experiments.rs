@@ -876,7 +876,7 @@ pub fn e13_takedown_resilience_supervised(
             check_invariants: opts.supervisor.check_invariants,
         };
         let (row, _, truncation, violations) = e13_point_opt(ctx, frac, clients, days, point_opts);
-        sweep::PointRun { result: row.to_json(), truncation, violations }
+        Ok(sweep::PointRun { result: row.to_json(), truncation, violations })
     })
 }
 

@@ -13,7 +13,7 @@
 //! ## Containment
 //!
 //! Each point runs under the job's own supervisor
-//! ([`sweep::supervised_point_fallible`]): panics are retried with linear
+//! ([`sweep::supervised_point`]): panics are retried with linear
 //! backoff up to the budget and then quarantined as poisoned, script faults
 //! are typed and final, and the per-point watchdog truncates over-budget
 //! simulations. None of these kill the queue — they fold into the job's
@@ -1065,8 +1065,7 @@ fn worker<F>(
             seed_policy: spec.seed_policy,
             watchdog: supervisor.watchdog(),
         };
-        let outcome =
-            sweep::supervised_point_fallible(&ctx, &supervisor, &jp, &|_, p: &JobPoint<'_>| run_point(p));
+        let outcome = sweep::supervised_point(&ctx, &supervisor, &jp, &|_, p: &JobPoint<'_>| run_point(p));
         let record = checkpoint::outcome_record(task.point, outcome);
 
         guard = sched.lock().expect("scheduler lock never held across a panic");

@@ -21,8 +21,8 @@
 //! no-op. Every fault (compile error, out-of-fuel, out-of-memory, capability
 //! denial, host error) surfaces as a [`ScriptFaultInfo`] carrying the
 //! script's manifest name and the fuel it had burned, which plugs straight
-//! into [`sweep::supervised_point_fallible`] and
-//! [`checkpoint::run_checkpointed_fallible`](crate::checkpoint::run_checkpointed_fallible):
+//! into [`crate::sweep::supervised_point`] and
+//! [`crate::checkpoint::run_checkpointed`]:
 //! a hostile script degrades its grid point to `ScriptFault` and the rest of
 //! the sweep completes.
 //!
@@ -210,7 +210,7 @@ impl ScriptScenario {
     /// Runs the script against a snapshot of `world`. On success the queued
     /// effects are applied to `world`/`sim` and reported; on any fault the
     /// world is untouched and the typed fault is returned, ready for
-    /// [`sweep::supervised_point_fallible`].
+    /// [`crate::sweep::supervised_point`].
     pub fn run(&self, world: &mut World, sim: &mut WorldSim) -> Result<ScriptRunReport, ScriptFaultInfo> {
         let (mut host, effects) = world_host(world, &self.manifest.granted);
         let mut vm = Vm::new();

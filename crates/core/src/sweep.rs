@@ -252,7 +252,7 @@ impl<R> PointRun<R> {
 /// How a scenario script failed at one grid point: the typed fault rendered
 /// for the report, plus enough context to reproduce and triage it.
 ///
-/// Produced by fallible point closures (see [`supervised_point_fallible`]);
+/// Produced by point closures (see [`supervised_point`]);
 /// the sweep turns it into [`PointOutcome::ScriptFault`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScriptFaultInfo {
@@ -334,6 +334,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `1 + retries` attempts with each panic caught and the last one quarantined
 /// as [`PointOutcome::Poisoned`].
 ///
+/// A point can also fail with a typed script fault. The two failure modes are
+/// handled differently: a panic is assumed transient-ish and retried up to
+/// the supervisor's budget; an `Err(ScriptFaultInfo)` is deterministic (the
+/// same script faults the same way on every attempt), so it is tagged as
+/// [`PointOutcome::ScriptFault`] immediately without burning a retry. Points
+/// that cannot fault return `Ok(..)`.
+///
 /// # Unwind safety
 ///
 /// The `catch_unwind` here uses `AssertUnwindSafe`, which is sound under the
@@ -344,27 +351,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// for the retry — or any other point — to observe. Closures that mutate
 /// shared state through interior mutability are outside the contract.
 pub fn supervised_point<P, R, F>(
-    ctx: &SweepCtx,
-    supervisor: &SweepSupervisor,
-    point: &P,
-    run_point: &F,
-) -> PointOutcome<R>
-where
-    P: std::fmt::Debug,
-    F: Fn(&SweepCtx, &P) -> PointRun<R>,
-{
-    supervised_point_fallible(ctx, supervisor, point, &|ctx: &SweepCtx, p: &P| Ok(run_point(ctx, p)))
-}
-
-/// [`supervised_point`] for points that can fail with a typed script fault
-/// in addition to panicking.
-///
-/// The two failure modes are handled differently: a panic is assumed
-/// transient-ish and retried up to the supervisor's budget; an
-/// `Err(ScriptFaultInfo)` is deterministic (the same script faults the same
-/// way on every attempt), so it is tagged as
-/// [`PointOutcome::ScriptFault`] immediately without burning a retry.
-pub fn supervised_point_fallible<P, R, F>(
     ctx: &SweepCtx,
     supervisor: &SweepSupervisor,
     point: &P,
@@ -419,7 +405,8 @@ where
 /// [`run`] with per-point supervision: a panicking point is retried up to
 /// `supervisor.retries` times and then quarantined as
 /// [`PointOutcome::Poisoned`] instead of aborting the sweep, so the other
-/// `n - 1` points still complete.
+/// `n - 1` points still complete. A point returning `Err(ScriptFaultInfo)`
+/// becomes [`PointOutcome::ScriptFault`] (no retries).
 ///
 /// `run_point` is responsible for honouring the supervisor's watchdog and
 /// invariant settings when it builds its simulation (see
@@ -438,31 +425,10 @@ pub fn run_supervised<P, R, F>(
 where
     P: Sync + std::fmt::Debug,
     R: Send,
-    F: Fn(&SweepCtx, &P) -> PointRun<R> + Sync,
-{
-    run(experiment, base_seed, points, pool.resolve(), |ctx, p| {
-        supervised_point(ctx, supervisor, p, &run_point)
-    })
-}
-
-/// [`run_supervised`] for fallible point closures: a point returning
-/// `Err(ScriptFaultInfo)` becomes [`PointOutcome::ScriptFault`] (no retries)
-/// while the rest of the grid completes normally.
-pub fn run_supervised_fallible<P, R, F>(
-    experiment: &'static str,
-    base_seed: u64,
-    points: &[P],
-    pool: PoolConfig,
-    supervisor: &SweepSupervisor,
-    run_point: F,
-) -> Vec<PointOutcome<R>>
-where
-    P: Sync + std::fmt::Debug,
-    R: Send,
     F: Fn(&SweepCtx, &P) -> Result<PointRun<R>, ScriptFaultInfo> + Sync,
 {
     run(experiment, base_seed, points, pool.resolve(), |ctx, p| {
-        supervised_point_fallible(ctx, supervisor, p, &run_point)
+        supervised_point(ctx, supervisor, p, &run_point)
     })
 }
 
@@ -695,7 +661,7 @@ mod tests {
                     if p == 5 {
                         panic!("injected failure at point {p}");
                     }
-                    PointRun::complete((ctx.point, p * 10))
+                    Ok(PointRun::complete((ctx.point, p * 10)))
                 },
             );
             assert_eq!(outcomes.len(), 8);
@@ -729,7 +695,7 @@ mod tests {
             if p == 2 && attempt < 3 {
                 panic!("flaky");
             }
-            PointRun::complete(p)
+            Ok(PointRun::complete(p))
         });
         match &outcomes[2] {
             PointOutcome::Completed { run, attempts } => {
@@ -750,7 +716,7 @@ mod tests {
             if p == 2 && attempt < 3 {
                 panic!("flaky");
             }
-            PointRun::complete(p)
+            Ok(PointRun::complete(p))
         });
         match &outcomes[2] {
             PointOutcome::Poisoned { attempts, panic_msg, .. } => {
@@ -773,7 +739,7 @@ mod tests {
             for t in &tries {
                 t.store(0, Ordering::SeqCst);
             }
-            let outcomes = run_supervised_fallible(
+            let outcomes = run_supervised(
                 "scriptfault",
                 7,
                 &points,

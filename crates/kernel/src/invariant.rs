@@ -5,9 +5,9 @@
 //! registry or an exfiltration span with no infection root silently corrupts
 //! thousands of downstream grid points before any headline number looks
 //! wrong. The checker makes those laws *executable*. It is opt-in exactly
-//! like the scheduler profiler — [`Sim::enable_invariants`]
-//! (crate::sched::Sim::enable_invariants) arms it, and the unarmed dispatch
-//! path pays a single `Option` branch.
+//! like the scheduler profiler —
+//! [`Sim::enable_invariants`](crate::sched::Sim::enable_invariants) arms it,
+//! and the unarmed dispatch path pays a single `Option` branch.
 //!
 //! Violations are collected as structured [`InvariantViolation`] values (or,
 //! in strict mode, raised as panics the supervised sweep runner quarantines),
@@ -24,8 +24,8 @@
 //!   an `Infection` root through its parent chain
 //!   ([`SpanLog::has_ancestor_category`]). Vacuous when the span log is
 //!   disabled (large benchmark sweeps retain nothing to check).
-//! - **fault-windows** — every scheduled [`FaultWindow`]
-//!   (crate::fault::FaultWindow) is well-formed per
+//! - **fault-windows** — every scheduled
+//!   [`FaultWindow`](crate::fault::FaultWindow) is well-formed per
 //!   [`FaultWindow::validate`](crate::fault::FaultWindow::validate).
 //!
 //! World-level laws (e.g. *infected ⊆ hosts*) are registered by the layer
@@ -121,8 +121,8 @@ impl<W> fmt::Debug for InvariantChecker<W> {
 impl<W> InvariantChecker<W> {
     /// Creates a checker with only the built-in kernel laws. In strict mode
     /// the first violation panics (so a supervised sweep quarantines the
-    /// point); otherwise violations accumulate for [`take_violations`]
-    /// (Self::take_violations).
+    /// point); otherwise violations accumulate for
+    /// [`take_violations`](Self::take_violations).
     pub fn new(strict: bool) -> Self {
         InvariantChecker {
             world_laws: Vec::new(),

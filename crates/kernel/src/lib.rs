@@ -21,8 +21,7 @@
 //!   optional per-category retention caps ([`trace::TraceConfig`]).
 //! - [`span::SpanLog`] — causal spans linking consequences (exfil, wiping)
 //!   back to their root compromise via parent chains.
-//! - [`metrics::Metrics`] — counters, histograms, and time series that
-//!   experiments read back out.
+//! - [`metrics::Metrics`] — named counters that experiments read back out.
 //! - [`sched::ProfileSummary`] — opt-in scheduler profiling (per-category
 //!   dispatch counts, host-clock time, queue depth), zero-cost when off.
 //! - [`invariant::InvariantChecker`] — opt-in runtime invariant checking

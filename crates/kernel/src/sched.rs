@@ -422,20 +422,18 @@ impl<W> Sim<W> {
         self.profiler.is_some()
     }
 
-    /// Disarms the probe and returns the summary, also writing dispatch
-    /// counters (`sched.dispatch.<category>`) and queue-depth gauges
-    /// (`sched.queue_depth.p50/p95/p99`) into [`Sim::metrics`].
+    /// Disarms the probe and returns the summary. It leaves [`Sim::metrics`]
+    /// untouched: the summary is the probe's only output.
     ///
     /// Host-clock timings are wall-time measurements and therefore *not*
-    /// deterministic; they live only in the summary and the metric gauges,
-    /// never in the trace, spans, or exports.
+    /// deterministic; they live only in the summary, never in the trace,
+    /// spans, or exports.
     pub fn finish_profile(&mut self) -> Option<ProfileSummary> {
         let profiler = self.profiler.take()?;
         let mut rows = Vec::new();
         let mut total_events = 0u64;
         let mut total_nanos = 0u64;
         for (category, stat) in &profiler.per_cat {
-            self.metrics.incr_by(&format!("sched.dispatch.{category}"), stat.count);
             rows.push(ProfileRow {
                 category: category.to_string(),
                 events: stat.count,
@@ -445,20 +443,15 @@ impl<W> Sim<W> {
             total_nanos += stat.nanos;
         }
         let mut queue_depth = profiler.queue_depth;
-        let summary = ProfileSummary {
+        Some(ProfileSummary {
             rows,
             total_events,
             total_host_ms: total_nanos as f64 / 1e6,
             queue_p50: queue_depth.quantile(0.50),
             queue_p95: queue_depth.quantile(0.95),
             queue_p99: queue_depth.quantile(0.99),
-            queue_max: queue_depth.max(),
-        };
-        self.metrics.set_gauge("sched.queue_depth.p50", summary.queue_p50);
-        self.metrics.set_gauge("sched.queue_depth.p95", summary.queue_p95);
-        self.metrics.set_gauge("sched.queue_depth.p99", summary.queue_p99);
-        self.metrics.set_gauge("sched.queue_depth.max", summary.queue_max);
-        Some(summary)
+            queue_max: queue_depth.quantile(1.0),
+        })
     }
 
     /// Arms the runtime invariant checker, replacing any previously armed one.
@@ -862,15 +855,20 @@ mod tests {
         });
         s.schedule_in(SimDuration::from_secs(3), |_w, _sim| {}); // untraced
         s.run(&mut w);
+        s.metrics.incr("handler.count");
+        let before = s.metrics.to_string();
         let summary = s.finish_profile().expect("probe was armed");
+        assert_eq!(s.metrics.to_string(), before, "the summary is the probe's only output");
         assert!(!s.is_profiling(), "finish disarms");
         assert_eq!(s.finish_profile(), None, "second finish yields nothing");
         assert_eq!(summary.total_events, 3);
         let events: Vec<(&str, u64)> = summary.rows.iter().map(|r| (r.category.as_str(), r.events)).collect();
         assert_eq!(events, vec![("(untraced)", 1), ("net", 2)]);
-        assert_eq!(s.metrics.counter("sched.dispatch.net"), 2);
-        assert_eq!(s.metrics.counter("sched.dispatch.(untraced)"), 1);
-        assert!(s.metrics.gauge("sched.queue_depth.p50").is_some());
+        assert_eq!(
+            (summary.queue_p50, summary.queue_max),
+            (1.0, 2.0),
+            "2, 1, 0 events left at each dispatch"
+        );
         let table = summary.render();
         assert!(table.contains("net"));
         assert!(table.contains("queue depth"));
@@ -884,9 +882,8 @@ mod tests {
             sim.record(TraceCategory::Net, "host:a", "dns lookup");
         });
         s.run(&mut w);
-        assert_eq!(s.finish_profile(), None);
-        assert_eq!(s.metrics.counter("sched.dispatch.net"), 0);
-        assert_eq!(s.metrics.gauge("sched.queue_depth.p50"), None);
+        assert_eq!(s.finish_profile(), None, "no summary rows without the probe");
+        assert_eq!(s.metrics.to_string(), "");
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub trait TelemetryHook: Send + Sync {
     /// pending-queue depth sampled immediately before the dispatch.
     fn dispatch(&self, category: Option<TraceCategory>, queue_depth: usize);
 
-    /// A `run*` call on an observed [`Sim`] finished: the calendar queue's
+    /// A `run*` call on an observed [`Sim`](crate::sched::Sim) finished: the calendar queue's
     /// structural counters (resizes, tombstone reaps, cursor pull-backs)
     /// accumulated since the previous flush on that `Sim`. Deltas, so
     /// summing them across sims and runs yields process totals.

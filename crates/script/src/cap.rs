@@ -1,6 +1,6 @@
 //! Capability gating for host functions.
 //!
-//! A scenario script runs against a [`HostEnv`](crate::vm::HostEnv) that
+//! A scenario script runs against a [`HostEnv`] that
 //! exposes the simulated world — file scans, network dials, USB writes,
 //! exfiltration, detonation. Untrusted scripts must not get all of that by
 //! default: each script declares the capabilities it needs in a manifest,

@@ -68,7 +68,7 @@ detonate(hosts()[0])";
     ];
     println!("\n=== hostile sweep ===");
     let supervisor = SweepSupervisor::default();
-    let outcomes = sweep::run_supervised_fallible(
+    let outcomes = sweep::run_supervised(
         "scripted",
         7,
         &scripts,

@@ -95,6 +95,7 @@ fn e9_at_aramco_scale_wipes_every_seeded_site() {
         "{\n  \"fleet\": 30030,\n  \"infected\": 3003,\n  \"bricked\": 3003,\n  \"reports\": 3003,\n  \
          \"hours_to_trigger\": 50.13333333333333\n}\n"
     );
+    assert_eq!(run.sim.metrics.counter("shamoon.hosts_bricked"), run.result.bricked as u64);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use malsim::checkpoint::{run_checkpointed_fallible, CheckpointConfig, PointStatus};
+use malsim::checkpoint::{run_checkpointed, CheckpointConfig, PointStatus};
 use malsim::scenario::ScenarioBuilder;
 use malsim::script_api;
 use malsim::sweep::SweepSupervisor;
@@ -41,7 +41,7 @@ fn run_suite_point(
 #[test]
 fn hostile_suite_faults_are_typed_and_the_grid_completes() {
     let supervisor = SweepSupervisor::default();
-    let outcomes = sweep::run_supervised_fallible(
+    let outcomes = sweep::run_supervised(
         "sandbox",
         5,
         HOSTILE_SUITE,
@@ -89,10 +89,9 @@ fn checkpointed_hostile_sweep_resumes_byte_identically() {
         resume: false,
         backend: None,
     };
-    let full = run_checkpointed_fallible(&cfg, HOSTILE_SUITE, |ctx, (_, src)| {
-        run_suite_point(ctx.derived_seed(), src)
-    })
-    .unwrap();
+    let full =
+        run_checkpointed(&cfg, HOSTILE_SUITE, |ctx, (_, src)| run_suite_point(ctx.derived_seed(), src))
+            .unwrap();
     let full_report = full.report().to_canonical_string();
     let faults = full.points.iter().filter(|p| p.record.status == PointStatus::ScriptFault).count();
     assert_eq!(faults, 5, "the five hostile points fault");
@@ -104,7 +103,7 @@ fn checkpointed_hostile_sweep_resumes_byte_identically() {
         let partial = temp(&format!("hostile-k{keep}"));
         let lines: Vec<&str> = full_text.lines().take(keep).collect();
         std::fs::write(&partial, format!("{}\n", lines.join("\n"))).unwrap();
-        let resumed = run_checkpointed_fallible(
+        let resumed = run_checkpointed(
             &CheckpointConfig { path: &partial, resume: true, ..cfg },
             HOSTILE_SUITE,
             |ctx, (_, src)| run_suite_point(ctx.derived_seed(), src),

@@ -151,7 +151,7 @@ fn seeded_violation_surfaces_through_the_checkpoint_pipeline() {
             );
         });
         sim.run(&mut world);
-        PointRun { result: Json::U64(0), truncation: None, violations: sim.take_violations() }
+        Ok(PointRun { result: Json::U64(0), truncation: None, violations: sim.take_violations() })
     };
     let out = run_checkpointed(&cfg, &[0u32], corrupt).unwrap();
     let rec = &out.points[0].record;
@@ -197,7 +197,7 @@ fn poisoned_e13_style_point_quarantines_without_aborting() {
         let (mut world, mut sim) = ScenarioBuilder::new(ctx.derived_seed()).office_lan(3);
         sim.schedule_in(SimDuration::from_hours(1), |_: &mut World, _| {});
         sim.run(&mut world);
-        PointRun::complete(Json::obj([("frac", frac.into()), ("hosts", world.hosts.len().into())]))
+        Ok(PointRun::complete(Json::obj([("frac", frac.into()), ("hosts", world.hosts.len().into())])))
     })
     .unwrap();
     assert_eq!(out.points.len(), 5);
@@ -239,7 +239,7 @@ fn disk_full_mid_sweep_quarantines_the_checkpoint_but_the_grid_completes() {
         let (mut world, mut sim) = ScenarioBuilder::new(ctx.derived_seed()).office_lan(3);
         sim.schedule_in(SimDuration::from_hours(1), |_: &mut World, _| {});
         sim.run(&mut world);
-        PointRun::complete(Json::obj([("frac", frac.into()), ("hosts", world.hosts.len().into())]))
+        Ok(PointRun::complete(Json::obj([("frac", frac.into()), ("hosts", world.hosts.len().into())])))
     };
     let clean = run_checkpointed(&cfg, FRACTIONS, eval).unwrap();
     assert!(clean.storage_fault.is_none());
@@ -285,7 +285,7 @@ fn fsync_failure_mid_sweep_still_resumes_byte_identically() {
         let (mut world, mut sim) = ScenarioBuilder::new(ctx.derived_seed()).office_lan(3);
         sim.schedule_in(SimDuration::from_hours(1), |_: &mut World, _| {});
         sim.run(&mut world);
-        PointRun::complete(Json::obj([("frac", frac.into()), ("hosts", world.hosts.len().into())]))
+        Ok(PointRun::complete(Json::obj([("frac", frac.into()), ("hosts", world.hosts.len().into())])))
     };
     let clean = run_checkpointed(&cfg, FRACTIONS, eval).unwrap();
     let clean_report = clean.report().to_canonical_string();
@@ -370,7 +370,7 @@ fn mid_batch_truncation_is_byte_identical_across_worker_counts() {
                 }
                 let run = sim.run_until_watched(&mut world, SimTime::MAX, Watchdog::events(budget));
                 let fired: Vec<Json> = world.iter().map(|&t| Json::from(u64::from(t))).collect();
-                PointRun {
+                Ok(PointRun {
                     result: Json::obj([
                         ("executed", run.executed.into()),
                         ("now_ms", sim.now().as_millis().into()),
@@ -379,7 +379,7 @@ fn mid_batch_truncation_is_byte_identical_across_worker_counts() {
                     ]),
                     truncation: malsim::sweep::Truncation::from_stop(run.reason),
                     violations: Vec::new(),
-                }
+                })
             })
             .unwrap();
             std::fs::remove_file(&path).unwrap();
