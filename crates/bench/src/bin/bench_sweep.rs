@@ -9,8 +9,8 @@
 //! Usage: `cargo run --release -p malsim-bench --bin bench_sweep --
 //!   [--iters <n>] [--out <path>] [--compare <path>] [--threshold <ratio>]`
 //!
-//! Event counts, per-category dispatch counts and calendar-queue counters are
-//! deterministic per seed: `--compare` exits non-zero when any of them differs
+//! Event counts, per-category dispatch counts and event-queue tombstone reaps
+//! are deterministic per seed: `--compare` exits non-zero when any of them differs
 //! from the committed file, since that means behaviour changed. Only the
 //! wall-clock figures vary between machines and runs, so a throughput drop
 //! below `--threshold` of the baseline prints a warning and never fails.
@@ -130,7 +130,7 @@ fn main() {
         ("e9_shamoon_fleet", Box::new(|| e9_shamoon_wipe_run(815, 4, 24, 2).sim.executed())),
         // The paper's headline Shamoon figure: ~30,000 wiped workstations.
         // 30 zones x 1000 hosts with three seeded zones reproduces that scale
-        // end to end; this is the row the calendar-queue rewrite is judged on.
+        // end to end; this is the row the event queue is judged on.
         ("e9_shamoon_aramco", Box::new(|| e9_shamoon_wipe_run(815, 30, 1000, 3).sim.executed())),
         (
             "e13_takedown_grid",
@@ -152,8 +152,8 @@ fn main() {
         })
         .collect();
     // Then arm the registry and replay each case once, untimed, to attach its
-    // deterministic structural counters (dispatches by category, calendar
-    // queue resizes/reaps) to the row. Arming is process-wide and one-way,
+    // deterministic structural counters (dispatches by category, event-queue
+    // tombstone reaps) to the row. Arming is process-wide and one-way,
     // which is why it happens only after all timing is done.
     telemetry::arm();
     let rows: Vec<Json> = timed
@@ -172,9 +172,7 @@ fn main() {
                     "telemetry",
                     Json::obj([
                         ("dispatches", counter("malsim_sched_dispatches_total")),
-                        ("calq_resizes", counter("malsim_calq_resizes_total")),
                         ("calq_tombstone_reaps", counter("malsim_calq_tombstone_reaps_total")),
-                        ("calq_cursor_pullbacks", counter("malsim_calq_cursor_pullbacks_total")),
                     ]),
                 ),
             ])

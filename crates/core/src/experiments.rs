@@ -629,10 +629,7 @@ pub fn e9_shamoon_wipe_run(seed: u64, zones: usize, hosts_per_zone: usize, seede
 
 /// E10 (§V): the derived trend matrix after running all three campaigns.
 pub fn e10_trend_matrix(seed: u64) -> Vec<malsim_analysis::trends::TrendProfile> {
-    // One compact world where all three campaigns have acted.
-    let e1 = e1_stuxnet_end_to_end(seed, 10);
-    let _ = e1;
-    // Build a fresh combined run for profile derivation.
+    // One compact world where all three campaigns act.
     let (mut world, mut sim) = ScenarioBuilder::new(seed).office_lan(12);
     let pki = Pki::install(&mut world);
     pki.arm_stuxnet(&mut world);

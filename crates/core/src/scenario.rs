@@ -25,7 +25,6 @@ pub struct ScenarioBuilder {
     start: SimTime,
     trace: bool,
     patch_rate: f64,
-    advisory_applied: bool,
     check_invariants: bool,
 }
 
@@ -38,7 +37,6 @@ impl ScenarioBuilder {
             start: SimTime::from_utc(2010, 6, 1, 0, 0, 0),
             trace: true,
             patch_rate: 0.0,
-            advisory_applied: false,
             check_invariants: false,
         }
     }
@@ -63,12 +61,6 @@ impl ScenarioBuilder {
     pub fn patch_rate(&mut self, rate: f64) -> &mut Self {
         assert!((0.0..=1.0).contains(&rate), "patch rate must be in [0,1]");
         self.patch_rate = rate;
-        self
-    }
-
-    /// Applies advisory 2718704 fleet-wide (kills the Flame update forgery).
-    pub fn with_advisory(&mut self) -> &mut Self {
-        self.advisory_applied = true;
         self
     }
 
@@ -140,9 +132,6 @@ impl ScenarioBuilder {
             for b in [Bulletin::Ms10_046, Bulletin::Ms10_061, Bulletin::Ms10_073, Bulletin::Ms10_092] {
                 host.patches.apply(b);
             }
-        }
-        if self.advisory_applied {
-            host.patches.apply(Bulletin::Advisory2718704);
         }
         let id = world.hosts.push(host);
         world.topology.place(id, zone);

@@ -13,11 +13,10 @@
 //!
 //! ## What is instrumented
 //!
-//! - **`kernel::sched` / `kernel::calq`** — dispatches by trace-category
+//! - **`kernel::sched` / `kernel::queue`** — dispatches by trace-category
 //!   attribution and pre-dispatch queue depth (via the
-//!   [`TelemetryHook`] installed by [`arm`]), plus the calendar queue's
-//!   structural counters (ring resizes, tombstone reaps, cursor pull-backs)
-//!   flushed at the end of every `run*` call.
+//!   [`TelemetryHook`] installed by [`arm`]), plus the event queue's
+//!   tombstone reaps, flushed at the end of every `run*` call.
 //! - **`core::jobs`** — admissions, rejections by reason, queue high-water,
 //!   per-tenant WFQ lag, point cancellations, and the result cache's
 //!   hit/park/promotion traffic.
@@ -57,7 +56,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use malsim_kernel::calq::QueueStats;
+use malsim_kernel::queue::QueueStats;
 use malsim_kernel::sched::ProfileSummary;
 use malsim_kernel::telemetry::TelemetryHook;
 use malsim_kernel::trace::TraceCategory;
@@ -171,9 +170,7 @@ const CHAOS_KINDS: [&str; 7] =
 static SCHED_DISPATCHES: [Cell; TraceCategory::ALL.len() + 1] =
     [const { Cell::new() }; TraceCategory::ALL.len() + 1];
 static SCHED_QUEUE_DEPTH_MAX: Cell = Cell::new();
-static CALQ_RESIZES: Cell = Cell::new();
-static CALQ_TOMBSTONE_REAPS: Cell = Cell::new();
-static CALQ_CURSOR_PULLBACKS: Cell = Cell::new();
+static QUEUE_TOMBSTONE_REAPS: Cell = Cell::new();
 static JOBS_ADMITTED: Cell = Cell::new();
 static JOBS_REJECTED: [Cell; REJECT_REASONS.len()] = [const { Cell::new() }; REJECT_REASONS.len()];
 static JOBS_QUEUE_DEPTH_MAX: Cell = Cell::new();
@@ -246,9 +243,7 @@ impl TelemetryHook for KernelHook {
         if !armed() {
             return;
         }
-        CALQ_RESIZES.add(delta.resizes);
-        CALQ_TOMBSTONE_REAPS.add(delta.tombstone_reaps);
-        CALQ_CURSOR_PULLBACKS.add(delta.cursor_pullbacks);
+        QUEUE_TOMBSTONE_REAPS.add(delta.tombstone_reaps);
     }
 }
 
@@ -294,9 +289,7 @@ pub fn reset() {
         c.clear();
     }
     SCHED_QUEUE_DEPTH_MAX.clear();
-    CALQ_RESIZES.clear();
-    CALQ_TOMBSTONE_REAPS.clear();
-    CALQ_CURSOR_PULLBACKS.clear();
+    QUEUE_TOMBSTONE_REAPS.clear();
     JOBS_ADMITTED.clear();
     for c in &JOBS_REJECTED {
         c.clear();
@@ -614,20 +607,12 @@ fn collect() -> Vec<Metric> {
             deterministic: true,
             value: Value::Int(SCHED_QUEUE_DEPTH_MAX.get()),
         },
-        counter(
-            "malsim_calq_resizes_total",
-            "Calendar-queue bucket ring resizes (grow or shrink rebuilds).",
-            &CALQ_RESIZES,
-        ),
+        // Named after the calendar queue `kernel::queue` replaced: perfbench
+        // and `bench_sweep` read the family under this name.
         counter(
             "malsim_calq_tombstone_reaps_total",
-            "Cancelled events physically reclaimed from the calendar queue.",
-            &CALQ_TOMBSTONE_REAPS,
-        ),
-        counter(
-            "malsim_calq_cursor_pullbacks_total",
-            "Inserts that landed behind the calendar queue's scan cursor.",
-            &CALQ_CURSOR_PULLBACKS,
+            "Cancelled events physically reclaimed from the event queue.",
+            &QUEUE_TOMBSTONE_REAPS,
         ),
         counter("malsim_jobs_admitted_total", "Jobs accepted by queue admission control.", &JOBS_ADMITTED),
         Metric {

@@ -216,8 +216,9 @@ struct GenSlot<T> {
 /// Freed slots go on an intrusive free list and are reused LIFO; each free
 /// bumps the slot's generation so outstanding [`SlotRef`]s to the previous
 /// occupant stop resolving. This is the backing store for the scheduler's
-/// event queue ([`crate::calq::CalQueue`]), where it makes cancellation an
-/// O(1) generation check instead of a set-membership probe.
+/// event queue ([`crate::queue::EventQueue`]), where it makes cancellation an
+/// O(1) generation check instead of a set-membership probe, and its slots
+/// are the links of the queue's per-timestamp chains.
 ///
 /// # Examples
 ///
@@ -318,16 +319,6 @@ impl<T> GenSlab<T> {
     pub fn get_index_mut(&mut self, index: usize) -> Option<&mut T> {
         match self.slots.get_mut(index) {
             Some(GenSlot { entry: Entry::Occupied(v), .. }) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The current ref for an occupied slot, by raw index.
-    pub fn ref_at(&self, index: usize) -> Option<SlotRef> {
-        match self.slots.get(index) {
-            Some(GenSlot { generation, entry: Entry::Occupied(_) }) => {
-                Some(SlotRef { index: index as u32, generation: *generation })
-            }
             _ => None,
         }
     }

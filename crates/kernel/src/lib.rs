@@ -9,16 +9,16 @@
 //!   clock, so scenarios can express wall-clock triggers.
 //! - [`sched::Sim`] — the event queue and scheduler. Events are closures over
 //!   a caller-owned world; ordering is total and deterministic.
-//! - [`calq::CalQueue`] — the pending-event store behind the scheduler: a
-//!   bucketed calendar queue over generational slab storage with O(1)
-//!   amortized insert/pop/cancel and structural `(time, seq)` ordering.
+//! - [`queue::EventQueue`] — the pending-event store behind the scheduler: a
+//!   map from each pending timestamp to a FIFO chain of its events, over
+//!   generational slab storage, with O(1) cancel and structural
+//!   `(time, insertion)` ordering.
 //! - [`rng::SimRng`] — a seeded, forkable ChaCha8 random source; the same
 //!   `(scenario, seed)` pair always yields the same trace.
 //! - [`fault::FaultPlane`] — a deterministic fault-injection schedule (link
 //!   outages, packet loss, DNS outages, takedowns, host crashes) with its own
 //!   forked random stream, so an empty schedule never perturbs a run.
-//! - [`trace::TraceLog`] — the structured forensic record of a run, with
-//!   optional per-category retention caps ([`trace::TraceConfig`]).
+//! - [`trace::TraceLog`] — the structured forensic record of a run.
 //! - [`span::SpanLog`] — causal spans linking consequences (exfil, wiping)
 //!   back to their root compromise via parent chains.
 //! - [`metrics::Metrics`] — named counters that experiments read back out.
@@ -59,11 +59,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calq;
 pub mod fault;
 pub mod ids;
 pub mod invariant;
 pub mod metrics;
+pub mod queue;
 pub mod rng;
 pub mod sched;
 pub mod span;
@@ -73,15 +73,15 @@ pub mod trace;
 
 /// Convenient glob-import of the kernel's commonly used items.
 pub mod prelude {
-    pub use crate::calq::{CalQueue, QueueStats};
     pub use crate::fault::{FaultConfigError, FaultKind, FaultPlane, FaultWindow};
     pub use crate::ids::{GenSlab, SlotRef};
     pub use crate::invariant::{InvariantChecker, InvariantViolation, LawCx};
     pub use crate::metrics::Metrics;
+    pub use crate::queue::{EventQueue, QueueStats};
     pub use crate::rng::SimRng;
     pub use crate::sched::{EventHandle, ProfileRow, ProfileSummary, Sim, StopReason, Watchdog, WatchedRun};
     pub use crate::span::{Span, SpanId, SpanLog};
     pub use crate::telemetry::TelemetryHook;
     pub use crate::time::{SimDuration, SimTime, TimeError};
-    pub use crate::trace::{TraceCategory, TraceConfig, TraceEvent, TraceLog};
+    pub use crate::trace::{TraceCategory, TraceEvent, TraceLog};
 }

@@ -10,20 +10,20 @@
 //! order, where sequence is assignment order. Two events scheduled for the
 //! same instant therefore fire in the order they were scheduled.
 //!
-//! The pending-event store is a bucketed calendar queue over generational
-//! slab storage ([`crate::calq::CalQueue`]): insert, pop, and cancel are
-//! O(1) amortized, `(time, seq)` order is structural rather than
-//! comparator-driven, and a batch of same-timestamp events drains without
-//! re-touching the priority structure.
+//! The pending-event store ([`crate::queue::EventQueue`]) maps each pending
+//! timestamp to a FIFO chain of its events, over generational slab storage:
+//! cancel is O(1), `(time, seq)` order is structural rather than
+//! comparator-driven, and a batch of same-timestamp events drains and
+//! re-arms at O(1) per event.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::calq::{CalQueue, QueueStats};
 use crate::fault::FaultPlane;
 use crate::ids::SlotRef;
 use crate::invariant::{InvariantChecker, InvariantViolation, LawCx};
 use crate::metrics::{Histogram, Metrics};
+use crate::queue::{EventQueue, QueueStats};
 use crate::rng::SimRng;
 use crate::span::{SpanId, SpanLog};
 use crate::telemetry::{self, TelemetryHook};
@@ -60,7 +60,7 @@ pub struct EventHandle(SlotRef);
 /// ```
 pub struct Sim<W> {
     now: SimTime,
-    queue: CalQueue<Action<W>>,
+    queue: EventQueue<Action<W>>,
     executed: u64,
     profiler: Option<Profiler>,
     checker: Option<Box<InvariantChecker<W>>>,
@@ -103,7 +103,7 @@ impl<W> Sim<W> {
     pub fn new(start: SimTime, seed: u64) -> Self {
         Sim {
             now: start,
-            queue: CalQueue::new(),
+            queue: EventQueue::new(),
             executed: 0,
             profiler: None,
             checker: None,
@@ -263,9 +263,7 @@ impl<W> Sim<W> {
         if let Some(hook) = self.telemetry {
             let now = self.queue.stats();
             hook.queue_stats(QueueStats {
-                resizes: now.resizes - self.tele_flushed.resizes,
                 tombstone_reaps: now.tombstone_reaps - self.tele_flushed.tombstone_reaps,
-                cursor_pullbacks: now.cursor_pullbacks - self.tele_flushed.cursor_pullbacks,
             });
             self.tele_flushed = now;
         }
@@ -399,9 +397,9 @@ impl<W> Sim<W> {
         }
     }
 
-    /// Snapshot of the pending-event queue's structural counters (ring
-    /// resizes, tombstone reaps, cursor pull-backs). Always on — they are
-    /// plain field increments — and fully deterministic.
+    /// Snapshot of the pending-event queue's structural counters (tombstone
+    /// reaps). Always on — they are plain field increments — and fully
+    /// deterministic.
     pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
     }

@@ -20,7 +20,7 @@
 
 use std::sync::OnceLock;
 
-use crate::calq::QueueStats;
+use crate::queue::QueueStats;
 use crate::trace::TraceCategory;
 
 /// Observer interface the kernel calls into when a hook is installed.
@@ -36,10 +36,10 @@ pub trait TelemetryHook: Send + Sync {
     /// pending-queue depth sampled immediately before the dispatch.
     fn dispatch(&self, category: Option<TraceCategory>, queue_depth: usize);
 
-    /// A `run*` call on an observed [`Sim`](crate::sched::Sim) finished: the calendar queue's
-    /// structural counters (resizes, tombstone reaps, cursor pull-backs)
-    /// accumulated since the previous flush on that `Sim`. Deltas, so
-    /// summing them across sims and runs yields process totals.
+    /// A `run*` call on an observed [`Sim`](crate::sched::Sim) finished: the
+    /// event queue's structural counters (tombstone reaps) accumulated since
+    /// the previous flush on that `Sim`. Deltas, so summing them across sims
+    /// and runs yields process totals.
     fn queue_stats(&self, delta: QueueStats) {
         let _ = delta;
     }

@@ -5,7 +5,6 @@
 //! what the paper-reproduction harness inspects to reconstruct campaign
 //! timelines.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -97,48 +96,6 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Retention policy for a [`TraceLog`]: per-category caps on how many events
-/// are kept, so Aramco-scale runs (tens of thousands of wiped hosts) stay
-/// memory-bounded without silently losing their record.
-///
-/// An unset cap means unlimited; a cap of 0 drops the whole category. The
-/// default config is unbounded and adds no per-record cost.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceConfig {
-    /// Cap applied to every category without an explicit entry.
-    pub default_cap: Option<usize>,
-    /// Per-category caps overriding `default_cap`.
-    pub caps: BTreeMap<TraceCategory, usize>,
-}
-
-impl TraceConfig {
-    /// Unbounded config (the default).
-    pub fn unbounded() -> Self {
-        TraceConfig::default()
-    }
-
-    /// Config capping every category at `cap`.
-    pub fn capped(cap: usize) -> Self {
-        TraceConfig { default_cap: Some(cap), caps: BTreeMap::new() }
-    }
-
-    /// Sets a cap for one category (builder style).
-    pub fn with_cap(mut self, category: TraceCategory, cap: usize) -> Self {
-        self.caps.insert(category, cap);
-        self
-    }
-
-    /// The effective cap for a category, if any.
-    pub fn cap_for(&self, category: TraceCategory) -> Option<usize> {
-        self.caps.get(&category).copied().or(self.default_cap)
-    }
-
-    /// True when any cap is set (the log only does bookkeeping then).
-    pub fn is_bounded(&self) -> bool {
-        self.default_cap.is_some() || !self.caps.is_empty()
-    }
-}
-
 /// Append-only log of [`TraceEvent`]s.
 ///
 /// # Examples
@@ -155,9 +112,6 @@ impl TraceConfig {
 pub struct TraceLog {
     events: Vec<TraceEvent>,
     enabled: bool,
-    config: TraceConfig,
-    kept: BTreeMap<TraceCategory, usize>,
-    dropped: BTreeMap<TraceCategory, u64>,
 }
 
 impl TraceLog {
@@ -169,22 +123,6 @@ impl TraceLog {
     /// Creates a log that discards all events (for large benchmark sweeps).
     pub fn disabled() -> Self {
         TraceLog::default()
-    }
-
-    /// Creates an enabled log with the given retention policy.
-    pub fn with_config(config: TraceConfig) -> Self {
-        TraceLog { enabled: true, config, ..TraceLog::default() }
-    }
-
-    /// Replaces the retention policy. Already-kept events are untouched; the
-    /// new caps apply to subsequent records.
-    pub fn set_config(&mut self, config: TraceConfig) {
-        self.config = config;
-    }
-
-    /// The current retention policy.
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
     }
 
     /// Whether events are being retained.
@@ -204,9 +142,6 @@ impl TraceLog {
     }
 
     /// Appends an event attached to a causal span (no-op when disabled).
-    ///
-    /// When the category is at its configured cap, the event is dropped and
-    /// counted instead — truncation is never silent.
     pub fn record_in(
         &mut self,
         time: SimTime,
@@ -218,27 +153,7 @@ impl TraceLog {
         if !self.enabled {
             return;
         }
-        if self.config.is_bounded() {
-            if let Some(cap) = self.config.cap_for(category) {
-                let kept = self.kept.entry(category).or_insert(0);
-                if *kept >= cap {
-                    *self.dropped.entry(category).or_insert(0) += 1;
-                    return;
-                }
-                *kept += 1;
-            }
-        }
         self.events.push(TraceEvent { time, category, actor: actor.into(), message: message.into(), span });
-    }
-
-    /// Events dropped from one category by the retention policy.
-    pub fn dropped(&self, category: TraceCategory) -> u64 {
-        self.dropped.get(&category).copied().unwrap_or(0)
-    }
-
-    /// Total events dropped by the retention policy.
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped.values().sum()
     }
 
     /// All events, in insertion (and therefore chronological) order.
@@ -281,12 +196,9 @@ impl TraceLog {
         self.events.is_empty()
     }
 
-    /// Drops all recorded events (and cap bookkeeping), keeping the
-    /// enabled/disabled mode and the retention policy.
+    /// Drops all recorded events, keeping the enabled/disabled mode.
     pub fn clear(&mut self) {
         self.events.clear();
-        self.kept.clear();
-        self.dropped.clear();
     }
 
     /// Renders the whole log, one event per line.
@@ -360,63 +272,5 @@ mod tests {
         for cat in TraceCategory::ALL {
             assert_eq!(cat.name(), cat.to_string());
         }
-    }
-
-    #[test]
-    fn per_category_cap_drops_and_counts() {
-        let mut log = TraceLog::with_config(TraceConfig::default().with_cap(TraceCategory::Os, 2));
-        for i in 0..5 {
-            log.record(t(i), TraceCategory::Os, "host:a", format!("os event {i}"));
-            log.record(t(i), TraceCategory::Net, "host:a", format!("net event {i}"));
-        }
-        assert_eq!(log.count(TraceCategory::Os), 2, "cap keeps the first two");
-        assert_eq!(log.count(TraceCategory::Net), 5, "uncapped category unaffected");
-        assert_eq!(log.dropped(TraceCategory::Os), 3);
-        assert_eq!(log.dropped(TraceCategory::Net), 0);
-        assert_eq!(log.dropped_total(), 3);
-    }
-
-    #[test]
-    fn default_cap_applies_with_override() {
-        let mut log = TraceLog::with_config(TraceConfig::capped(1).with_cap(TraceCategory::Destruction, 3));
-        for i in 0..4 {
-            log.record(t(i), TraceCategory::Os, "h", "x");
-            log.record(t(i), TraceCategory::Destruction, "h", "y");
-        }
-        assert_eq!(log.count(TraceCategory::Os), 1);
-        assert_eq!(log.count(TraceCategory::Destruction), 3);
-        assert_eq!(log.dropped_total(), 3 + 1);
-    }
-
-    #[test]
-    fn zero_cap_filters_category_out() {
-        let mut log = TraceLog::with_config(TraceConfig::default().with_cap(TraceCategory::Net, 0));
-        log.record(t(0), TraceCategory::Net, "h", "noise");
-        log.record(t(0), TraceCategory::Infection, "h", "signal");
-        assert_eq!(log.count(TraceCategory::Net), 0);
-        assert_eq!(log.count(TraceCategory::Infection), 1);
-        assert_eq!(log.dropped(TraceCategory::Net), 1);
-    }
-
-    #[test]
-    fn unbounded_config_tracks_nothing() {
-        let cfg = TraceConfig::unbounded();
-        assert!(!cfg.is_bounded());
-        assert_eq!(cfg.cap_for(TraceCategory::Os), None);
-        let mut log = TraceLog::new();
-        log.record(t(0), TraceCategory::Os, "h", "x");
-        assert_eq!(log.dropped_total(), 0);
-    }
-
-    #[test]
-    fn clear_resets_cap_bookkeeping() {
-        let mut log = TraceLog::with_config(TraceConfig::capped(1));
-        log.record(t(0), TraceCategory::Os, "h", "a");
-        log.record(t(1), TraceCategory::Os, "h", "b");
-        assert_eq!(log.dropped_total(), 1);
-        log.clear();
-        assert_eq!(log.dropped_total(), 0);
-        log.record(t(2), TraceCategory::Os, "h", "c");
-        assert_eq!(log.len(), 1, "cap budget is fresh after clear");
     }
 }

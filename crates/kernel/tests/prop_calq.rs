@@ -1,4 +1,4 @@
-//! Property tests for the generational slab and the calendar queue that the
+//! Property tests for the generational slab and the event queue that the
 //! scheduler is built on. These attack the storage layer directly (stale
 //! handle safety, slot reuse, random-order drains) and the scheduler-level
 //! guarantees that depend on it (`schedule_every` handles staying cancellable
@@ -72,7 +72,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// CalQueue: ordering and cancellation under random programs
+// EventQueue: ordering and cancellation under random programs
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -83,7 +83,7 @@ proptest! {
         times in proptest::collection::vec(0u64..2_000_000, 1..400),
         cancel_mask in proptest::collection::vec(any::<bool>(), 1..400),
     ) {
-        let mut q: CalQueue<usize> = CalQueue::new();
+        let mut q: EventQueue<usize> = EventQueue::new();
         let mut model: BTreeMap<(u64, usize), usize> = BTreeMap::new();
         let mut refs = Vec::new();
         for (i, t) in times.iter().enumerate() {
@@ -109,14 +109,14 @@ proptest! {
     }
 
     /// Interleaved pops and inserts (inserts clamped to >= the last popped
-    /// time, as the scheduler guarantees) still drain in model order. This
-    /// exercises cursor pull-back: peeks race ahead, then an insert lands in
-    /// an earlier bucket.
+    /// time, as the scheduler guarantees) still drain in model order: an
+    /// insert may open a chain ahead of every pending one, join the chain
+    /// being drained, or land anywhere between.
     #[test]
     fn calqueue_interleaved_pops_and_inserts_stay_ordered(
         script in proptest::collection::vec((any::<bool>(), 0u64..100_000), 1..300),
     ) {
-        let mut q: CalQueue<u64> = CalQueue::new();
+        let mut q: EventQueue<u64> = EventQueue::new();
         let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
         let mut seq = 0u64;
         let mut now = 0u64;

@@ -1,15 +1,16 @@
-//! Differential model test for the calendar-queue scheduler.
+//! Differential model test for the scheduler and its event queue.
 //!
-//! The rewrite of `kernel::sched` onto a bucketed calendar queue is proven
-//! here against a deliberately naive reference model: a
+//! `kernel::sched` on `kernel::queue::EventQueue` (a map from each pending
+//! timestamp to a FIFO chain, over a generational slab) is proven here
+//! against a deliberately naive reference model: a
 //! `BTreeMap<(SimTime, u64), Event>` whose correctness is self-evident from
 //! the map's sorted iteration order. Seeded random programs of
 //! schedule / schedule-in-the-past / cancel / cancel-twice /
 //! reentrant-schedule / repeating ops run through both schedulers, and the
 //! full observable record — firing order with timestamps, every `cancel`
 //! return value, the executed-event count — must match exactly, for every
-//! seed. Any divergence in bucket math, tombstone reaping, cursor movement,
-//! or generation checks shows up as a differing log.
+//! seed. Any divergence in chain linking, tombstone reaping or generation
+//! checks shows up as a differing log.
 //!
 //! Debug runs cover a few hundred seeds to stay quick; release runs (CI's
 //! `sched-model` job) cover 1200.
@@ -104,7 +105,7 @@ enum Obs {
 }
 
 // ---------------------------------------------------------------------------
-// Real side: the calendar-queue Sim
+// Real side: the kernel's Sim
 // ---------------------------------------------------------------------------
 
 #[derive(Default)]
@@ -300,8 +301,8 @@ fn check_seed(seed: u64) {
 }
 
 /// Runs one program through both schedulers and demands the same log,
-/// executed count and tombstone reaps.
-fn check_program(seed: u64, program: &[Op]) {
+/// executed count and tombstone reaps. Returns the agreed log.
+fn check_program(seed: u64, program: &[Op]) -> Vec<Obs> {
     let (real_log, real_executed, real_stats) = run_real(program);
     let (model_log, model_executed) = run_model(program);
     if real_log != model_log {
@@ -320,8 +321,8 @@ fn check_program(seed: u64, program: &[Op]) {
     assert_eq!(real_executed, model_executed, "seed {seed}: executed-event counts diverge");
     // The queue's structural telemetry is pinned by the model too: every
     // cancel that reported `stopped` tombstoned a queued node, and a run
-    // that drains the queue reaps every tombstone — lazily, in bulk at the
-    // drain, or during a rebuild. (Reserved-slot cancels, which are freed
+    // that drains the queue reaps every tombstone — lazily, or in bulk at
+    // the drain. (Reserved-slot cancels, which are freed
     // without a reap, cannot occur here: only `Once` events run nested ops,
     // so no cancel ever lands on a mid-fire repeating event.)
     let stopped_cancels =
@@ -330,6 +331,7 @@ fn check_program(seed: u64, program: &[Op]) {
         real_stats.tombstone_reaps, stopped_cancels,
         "seed {seed}: tombstone reaps diverge from the model's stopped-cancel count",
     );
+    model_log
 }
 
 #[test]
@@ -339,10 +341,9 @@ fn calendar_queue_matches_btreemap_model_across_seeds() {
     }
 }
 
-/// Programs that slam one instant with many events: batch-drain order and
-/// budget math inside a same-timestamp run are the most bucket-layout
-/// sensitive paths, so they get their own seed sweep with tighter time
-/// ranges (lots of ties).
+/// Programs that slam one instant with many events: batch-drain order
+/// inside a same-timestamp chain, with appends to the chain being drained,
+/// gets its own seed sweep with tighter time ranges (lots of ties).
 #[test]
 fn tie_heavy_programs_match_the_model() {
     for seed in 0..seeds() / 2 {
@@ -366,9 +367,8 @@ fn tie_heavy_programs_match_the_model() {
     }
 }
 
-/// Long-horizon mix: a few events far in the future force the calendar
-/// queue's sparse-scan jump and cursor pull-back paths while near-term
-/// events keep arriving.
+/// Long-horizon mix: an event far in the future is pending (and peeked at)
+/// while near-term events keep arriving ahead of it.
 #[test]
 fn sparse_far_future_programs_match_the_model() {
     for seed in 0..seeds() / 4 {
@@ -385,13 +385,10 @@ fn sparse_far_future_programs_match_the_model() {
     }
 }
 
-/// The shape the calendar queue's insertion hint serves, and every way the
-/// hint is invalidated. All events start inside the first bucket (the
-/// default 1024 ms width until the ring first resizes): batches of ties sit
-/// ahead of a later event in that bucket, so links walk the chain. Tie
-/// events fire nested ops between pops — more ties, cancels of the event
-/// linked last, `schedule_every` re-arms into the tie run — and some
-/// programs grow past the first resize, which re-derives the width.
+/// Batches of ties ahead of one later event, all within the first second.
+/// Tie events fire nested ops between pops — more ties, cancels of the
+/// event linked last, `schedule_every` re-arms into the tie run — and some
+/// programs grow to a few hundred pending events.
 #[test]
 fn tie_runs_ahead_of_a_later_event_match_the_model() {
     fn tie_nested(g: &mut Gen) -> Vec<Op> {
@@ -423,5 +420,49 @@ fn tie_runs_ahead_of_a_later_event_match_the_model() {
             }
         }
         check_program(seed, &program);
+    }
+}
+
+/// The depth the queue runs at: `aramco` queues about 6,000 events and
+/// `kernel_churn` about 4,500, where the programs above stay in the
+/// hundreds. 3,000 top-level ops in `kernel_churn`'s mix leave about 2,000
+/// events chained (1,200 live) when the run starts, and the nested
+/// follow-ups keep it churning. Of the schedules, 65% are near (≤ 2 s),
+/// 15% mid (≤ 1 h), 5% far (≤ 30 days), 10% ties on one instant (1 s at the
+/// top level, the firing instant when nested) and 5% in the past; they
+/// carry nested follow-ups, `Every` re-arms run among them, and about a
+/// third of all handles are cancelled.
+#[test]
+fn churn_scale_programs_match_the_model() {
+    fn churn_ops(g: &mut Gen, count: usize, depth: u32, tie_delay_ms: u64) -> Vec<Op> {
+        (0..count)
+            .map(|_| match g.below(100) {
+                0..=59 => {
+                    let count = if depth == 0 { 0 } else { g.below(3) as usize };
+                    let nested = churn_ops(g, count, depth.saturating_sub(1), 0);
+                    match g.below(20) {
+                        0..=12 => Op::Schedule { delay_ms: g.below(2_000), nested },
+                        13..=15 => Op::Schedule { delay_ms: g.below(3_600_000), nested },
+                        16 => Op::Schedule { delay_ms: g.below(30 * 86_400_000), nested },
+                        17 | 18 => Op::Schedule { delay_ms: tie_delay_ms, nested },
+                        _ => Op::SchedulePast { back_ms: g.below(1_000), nested },
+                    }
+                }
+                60..=64 => Op::Every { period_ms: 1 + g.below(5_000), fires: 1 + g.below(8) as u32 },
+                65..=69 => Op::CancelNewest,
+                _ => Op::Cancel { target: g.next() as usize },
+            })
+            .collect()
+    }
+    for seed in 0..seeds() / 50 {
+        let mut g = Gen(seed.wrapping_mul(0xd1b5_4a32_d192_ed03).wrapping_add(0x5eed));
+        let program = churn_ops(&mut g, 3_000, 2, 1_000);
+        let log = check_program(seed, &program);
+        let handles = log.iter().filter(|o| matches!(o, Obs::Scheduled { .. })).count();
+        let cancelled = log.iter().filter(|o| matches!(o, Obs::Cancelled { stopped: true, .. })).count();
+        assert!(
+            (handles / 4..handles / 2).contains(&cancelled),
+            "seed {seed}: {cancelled} of {handles} handles cancelled, not about a third"
+        );
     }
 }

@@ -314,9 +314,9 @@ fn fsync_failure_mid_sweep_still_resumes_byte_identically() {
 }
 
 /// Event-budget truncation landing in the middle of a same-timestamp batch:
-/// the calendar queue drains ties as one chained batch internally, but the
-/// watchdog must still be able to stop between any two of them, leaving the
-/// clock parked at the last event it actually dispatched.
+/// the event queue keeps ties in one chain per timestamp, but the watchdog
+/// must still be able to stop between any two of them, leaving the clock
+/// parked at the last event it actually dispatched.
 #[test]
 fn event_budget_splits_a_same_timestamp_batch_cleanly() {
     let batch_at = SimTime::EPOCH + SimDuration::from_hours(1);

@@ -8,9 +8,9 @@
 //! * the deterministic snapshot is byte-identical at pool widths 1, 2, and 8
 //!   for a seeded three-tenant job run with rejections and a cancellation;
 //! * the WFQ-lag gauge matches the virtual-clock arithmetic by hand;
-//! * the calendar-queue structural counters flushed through the kernel hook
-//!   equal the sim's own [`Sim::queue_stats`] readings, and the dispatch
-//!   counter equals the executed-event count;
+//! * the event queue's tombstone reaps flushed through the kernel hook equal
+//!   the sim's own [`Sim::queue_stats`] reading, and the dispatch counter
+//!   equals the executed-event count;
 //! * the JSONL sink emits one well-formed deterministic sample per boundary.
 
 use std::path::PathBuf;
@@ -151,9 +151,8 @@ fn wfq_lag_gauge_matches_the_virtual_clock_math() {
 #[test]
 fn hook_flushed_queue_counters_match_the_sims_own_stats() {
     let _g = registry();
-    // Enough non-monotone inserts to outgrow the initial ring (resizes) and
-    // a cancelled half (tombstones); whatever the queue's cursor does, the
-    // registry must mirror the sim's own counters exactly.
+    // Non-monotone inserts with a cancelled half (tombstones): the registry
+    // must mirror the sim's own reap count exactly.
     let mut sim: Sim<Vec<u64>> = Sim::new(SimTime::EPOCH, 1);
     let mut handles = Vec::new();
     for i in 0..1000u64 {
@@ -179,14 +178,11 @@ fn hook_flushed_queue_counters_match_the_sims_own_stats() {
     sim.run(&mut fired);
 
     let stats = sim.queue_stats();
-    assert!(stats.resizes > 0, "2000 inserts must outgrow the initial ring");
     assert!(stats.tombstone_reaps >= 999, "the cancelled half is reaped by the drain");
 
     let det = telemetry::deterministic_json();
-    let count = |name: &str| det.get(name).and_then(Json::as_u64).unwrap_or_else(|| panic!("{name}"));
-    assert_eq!(count("malsim_calq_resizes_total"), stats.resizes);
-    assert_eq!(count("malsim_calq_tombstone_reaps_total"), stats.tombstone_reaps);
-    assert_eq!(count("malsim_calq_cursor_pullbacks_total"), stats.cursor_pullbacks);
+    let reaps = det.get("malsim_calq_tombstone_reaps_total").and_then(Json::as_u64);
+    assert_eq!(reaps, Some(stats.tombstone_reaps));
     // Every executed event passed through the hook's dispatch path; none of
     // these closures carry a trace category.
     let dispatches = det.get("malsim_sched_dispatches_total").expect("dispatch family");
