@@ -36,7 +36,7 @@ use std::rc::Rc;
 
 use malsim_kernel::trace::TraceCategory;
 use malsim_malware::world::{World, WorldSim};
-use malsim_script::cap::{Capability, CapabilitySet, GatedHost};
+use malsim_script::cap::{Capability, CapabilitySet, GatedHost, Requirements};
 use malsim_script::compiler::{compile, Chunk};
 use malsim_script::error::{CompileScriptError, RunScriptError, SourcePos};
 use malsim_script::value::Value;
@@ -349,14 +349,17 @@ fn world_host(
         });
     }
 
-    let gated = GatedHost::new(host, *granted)
-        .require("scan_files", Capability::FsScan)
-        .require("net_dial", Capability::NetDial)
-        .require("usb_write", Capability::UsbWrite)
-        .require("exfil", Capability::Exfil)
-        .require("detonate", Capability::Detonate);
-    (gated, effects)
+    (GatedHost::new(host, *granted, WORLD_GATE), effects)
 }
+
+/// The capability each gated world host function demands.
+const WORLD_GATE: Requirements = &[
+    ("scan_files", Capability::FsScan),
+    ("net_dial", Capability::NetDial),
+    ("usb_write", Capability::UsbWrite),
+    ("exfil", Capability::Exfil),
+    ("detonate", Capability::Detonate),
+];
 
 fn apply_effects(script_id: &str, effects: &[ScriptEffect], world: &mut World, sim: &mut WorldSim) {
     let actor = format!("script:{script_id}");

@@ -8,8 +8,14 @@
 //! An ungranted call returns a typed
 //! [`RunScriptError::CapabilityDenied`] — never a panic, and never a silent
 //! no-op that would skew sweep results.
+//!
+//! Which function needs which capability is a static table, written once
+//! next to the host it guards, and the grant is fixed when the gate is
+//! built. Because [`HostEnv`] is implemented for `&mut H`, a gate can borrow
+//! a host instead of owning it: several scripts with different grants can
+//! run in turn against one host, each behind its own gate, at no cost per
+//! gate.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::RunScriptError;
@@ -157,31 +163,28 @@ impl FromIterator<Capability> for CapabilitySet {
     }
 }
 
+/// Which host functions need which capability: `(function, capability)`
+/// pairs. A function absent from the table is ungated.
+pub type Requirements = &'static [(&'static str, Capability)];
+
 /// A [`HostEnv`] wrapper that checks each call against a granted
 /// [`CapabilitySet`] before delegating to the inner host.
 ///
-/// Host functions are registered with [`GatedHost::require`]; a call to a
-/// registered function without its capability returns
-/// [`RunScriptError::CapabilityDenied`]. Unregistered names pass through
-/// (the inner host decides whether they exist), so gating composes with
-/// builtins and harmless helpers like `log`.
+/// A call to a function listed in the [`Requirements`] table without its
+/// capability returns [`RunScriptError::CapabilityDenied`]. Unlisted names
+/// pass through (the inner host decides whether they exist), so gating
+/// composes with builtins and harmless helpers like `log`.
 pub struct GatedHost<H> {
     inner: H,
     granted: CapabilitySet,
-    required: HashMap<String, Capability>,
+    required: Requirements,
 }
 
 impl<H> GatedHost<H> {
-    /// Wraps `inner`, granting `granted`.
-    pub fn new(inner: H, granted: CapabilitySet) -> Self {
-        GatedHost { inner, granted, required: HashMap::new() }
-    }
-
-    /// Declares that host function `name` requires `cap` (builder style).
-    #[must_use]
-    pub fn require(mut self, name: impl Into<String>, cap: Capability) -> Self {
-        self.required.insert(name.into(), cap);
-        self
+    /// Wraps `inner`, granting `granted`; `required` says which functions
+    /// are gated.
+    pub fn new(inner: H, granted: CapabilitySet, required: Requirements) -> Self {
+        GatedHost { inner, granted, required }
     }
 
     /// The capabilities this host was granted.
@@ -191,7 +194,7 @@ impl<H> GatedHost<H> {
 
     /// The capability `name` requires, if it is gated at all.
     pub fn required_for(&self, name: &str) -> Option<Capability> {
-        self.required.get(name).copied()
+        self.required.iter().find(|(f, _)| *f == name).map(|&(_, cap)| cap)
     }
 
     /// Consumes the gate, returning the inner host.
@@ -212,7 +215,7 @@ impl<H: fmt::Debug> fmt::Debug for GatedHost<H> {
 
 impl<H: HostEnv> HostEnv for GatedHost<H> {
     fn call_host(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, RunScriptError> {
-        if let Some(&cap) = self.required.get(name) {
+        if let Some(cap) = self.required_for(name) {
             if !self.granted.allows(cap) {
                 return Err(RunScriptError::CapabilityDenied { name: name.to_owned(), capability: cap });
             }
@@ -264,9 +267,8 @@ mod tests {
             inner.register("log", |_| {
                 Ok(Value::Nil) // ungated helper
             });
-            let mut host = GatedHost::new(inner, CapabilitySet::none().grant(Capability::Exfil))
-                .require("exfil", Capability::Exfil)
-                .require("wipe_self", Capability::Detonate);
+            const GATE: Requirements = &[("exfil", Capability::Exfil), ("wipe_self", Capability::Detonate)];
+            let mut host = GatedHost::new(inner, CapabilitySet::none().grant(Capability::Exfil), GATE);
 
             let mut vm = Vm::new();
             let ok = compile("return exfil()").unwrap();

@@ -8,7 +8,7 @@ use crate::error::{CompileScriptError, SourcePos};
 use crate::value::Value;
 
 /// One bytecode instruction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Push constant `consts[i]`.
     Const(u16),
@@ -84,8 +84,59 @@ pub enum Op {
 pub struct FuncProto {
     /// Parameter names (bound as frame locals on call).
     pub params: Vec<String>,
+    /// The name slot each parameter binds, or `None` when the name appears
+    /// nowhere in the chunk (so the body cannot read it and it stays
+    /// unbound).
+    pub(crate) param_slots: Vec<Option<u16>>,
     /// Body code.
     pub code: Vec<Op>,
+}
+
+/// A VM builtin function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Builtin {
+    /// `len(str|list)`.
+    Len,
+    /// `str(v)`.
+    Str,
+    /// `push(list, v)`: a new list with `v` appended.
+    Push,
+    /// `contains(str, str)` or `contains(list, v)`.
+    Contains,
+    /// `range(n)`: `[0, …, n-1]`.
+    Range,
+}
+
+impl Builtin {
+    const ALL: [Builtin; 5] = [Builtin::Len, Builtin::Str, Builtin::Push, Builtin::Contains, Builtin::Range];
+
+    /// The name scripts call it by.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Builtin::Len => "len",
+            Builtin::Str => "str",
+            Builtin::Push => "push",
+            Builtin::Contains => "contains",
+            Builtin::Range => "range",
+        }
+    }
+
+    /// The builtin called `name`, if any.
+    pub(crate) fn from_name(name: &str) -> Option<Builtin> {
+        Builtin::ALL.into_iter().find(|b| b.name() == name)
+    }
+}
+
+/// What a `Call` of a name dispatches to, fixed at compile time in the
+/// VM's resolution order: script function, then builtin, then host.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Callee {
+    /// A function the script defines.
+    Script(Rc<FuncProto>),
+    /// A VM builtin.
+    Builtin(Builtin),
+    /// Anything else goes to the host by name.
+    Host,
 }
 
 /// A compiled script: top-level code plus named functions, with shared
@@ -96,10 +147,13 @@ pub struct Chunk {
     pub code: Vec<Op>,
     /// Constant pool.
     pub consts: Vec<Value>,
-    /// Name table (variables and callees).
+    /// Name table (variables and callees). An operand that names a
+    /// variable or callee is an index into it: the name's *slot*.
     pub names: Vec<String>,
     /// Script-defined functions by name.
     pub functions: HashMap<String, Rc<FuncProto>>,
+    /// The call target of each name slot (parallel to `names`).
+    pub(crate) callees: Vec<Callee>,
 }
 
 impl Chunk {
@@ -138,6 +192,7 @@ pub fn compile(source: &str) -> Result<Chunk, CompileScriptError> {
 pub fn compile_program(program: &Program) -> Result<Chunk, CompileScriptError> {
     let mut c = Compiler::default();
     // First pass: hoist function definitions so calls can precede them.
+    let mut bodies: HashMap<&str, (&[String], Vec<Op>)> = HashMap::new();
     for stmt in &program.stmts {
         if let Stmt::FnDef { name, params, body } = stmt {
             let mut code = Vec::new();
@@ -145,8 +200,7 @@ pub fn compile_program(program: &Program) -> Result<Chunk, CompileScriptError> {
             c.block(body, &mut code)?;
             c.in_function = false;
             code.push(Op::ReturnNil);
-            let proto = Rc::new(FuncProto { params: params.clone(), code });
-            if c.functions.insert(name.clone(), proto).is_some() {
+            if bodies.insert(name, (params, code)).is_some() {
                 return Err(CompileScriptError {
                     pos: SourcePos { line: 1, col: 1 },
                     message: format!("function '{name}' defined twice"),
@@ -161,7 +215,24 @@ pub fn compile_program(program: &Program) -> Result<Chunk, CompileScriptError> {
         }
     }
     code.push(Op::ReturnNil);
-    Ok(Chunk { code, consts: c.consts, names: c.names, functions: c.functions })
+    // The name table is complete: resolve parameters and call targets.
+    let functions: HashMap<String, Rc<FuncProto>> = bodies
+        .into_iter()
+        .map(|(name, (params, code))| {
+            let param_slots = params.iter().map(|p| c.name_index.get(p).copied()).collect();
+            (name.to_owned(), Rc::new(FuncProto { params: params.to_vec(), param_slots, code }))
+        })
+        .collect();
+    let callees = c
+        .names
+        .iter()
+        .map(|n| match (functions.get(n), Builtin::from_name(n)) {
+            (Some(proto), _) => Callee::Script(Rc::clone(proto)),
+            (None, Some(b)) => Callee::Builtin(b),
+            (None, None) => Callee::Host,
+        })
+        .collect();
+    Ok(Chunk { code, consts: c.consts, names: c.names, functions, callees })
 }
 
 #[derive(Default)]
@@ -169,7 +240,6 @@ struct Compiler {
     consts: Vec<Value>,
     names: Vec<String>,
     name_index: HashMap<String, u16>,
-    functions: HashMap<String, Rc<FuncProto>>,
     in_function: bool,
     /// Jump-patch sites for `break` in the innermost loop.
     break_sites: Vec<Vec<usize>>,
@@ -446,6 +516,22 @@ mod tests {
     fn functions_are_hoisted() {
         let chunk = compile("let y = f(1)\nfn f(x) return x end").unwrap();
         assert!(chunk.functions.contains_key("f"));
+    }
+
+    #[test]
+    fn call_targets_and_parameter_slots_are_resolved() {
+        let chunk = compile(
+            "fn len(x) return 1 end\nfn f(a, unused) return a end\nreturn f(len(1), str(2)) + probe()",
+        )
+        .unwrap();
+        let callee = |n: &str| &chunk.callees[chunk.names.iter().position(|x| x == n).unwrap()];
+        assert!(matches!(callee("len"), Callee::Script(_)), "script functions shadow builtins");
+        assert_eq!(callee("str"), &Callee::Builtin(Builtin::Str));
+        assert_eq!(callee("probe"), &Callee::Host);
+        assert_eq!(chunk.callees.len(), chunk.names.len());
+        let f = &chunk.functions["f"];
+        assert_eq!(f.param_slots[0].map(|i| chunk.name(i)), Some("a"));
+        assert_eq!(f.param_slots[1], None, "never referenced, so never bound");
     }
 
     #[test]

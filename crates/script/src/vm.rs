@@ -5,13 +5,28 @@
 //! simulation. Host capabilities are injected through [`HostEnv`], which is
 //! how malware modules read files, record audio, or enumerate bluetooth
 //! devices *in the simulated world* — the VM itself is pure.
+//!
+//! Names are resolved once, not per instruction. Every variable operand is
+//! a name slot (an index into the chunk's name table): a run keeps its
+//! globals in a vector indexed by slot, loaded from the VM's by-name
+//! globals when it starts and written back when it ends, and function
+//! locals in a slot-indexed vector of shallow bindings (see `Locals`). The
+//! compiler fixes each name's call target (`Chunk::callees`), so a call jumps
+//! straight to a script function, a builtin or the host, and its arguments
+//! stay on the value stack as a slice. Host calls still go by name through
+//! [`HostEnv::call_host`], so a capability gate sees every one. The op
+//! stream is what it was when names were hashed at every instruction, so
+//! fuel, memory charges and limit faults land on the same instructions; a
+//! test-only copy of that by-name interpreter checks this differentially.
 
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use crate::compiler::{Chunk, FuncProto, Op};
+use crate::compiler::{Builtin, Callee, Chunk, Op};
 use crate::error::RunScriptError;
 use crate::value::Value;
+
+#[cfg(test)]
+mod reference;
 
 /// Host-function surface a script runs against.
 ///
@@ -25,6 +40,12 @@ pub trait HostEnv {
     ///
     /// Host failures surface as [`RunScriptError::Host`].
     fn call_host(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, RunScriptError>;
+}
+
+impl<H: HostEnv + ?Sized> HostEnv for &mut H {
+    fn call_host(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, RunScriptError> {
+        (**self).call_host(name, args)
+    }
 }
 
 /// A [`HostEnv`] with no functions.
@@ -128,6 +149,12 @@ pub struct RunOutcome {
 
 /// The virtual machine. Holds globals that persist across runs, so a
 /// long-lived module can keep state between activations.
+///
+/// Globals are shared by name, so chunks with different name tables see the
+/// same variables. A run copies the globals its chunk names into a vector
+/// indexed by name slot, executes against that vector, and writes every
+/// bound slot back when it ends — whether it returned or faulted, so a write
+/// made before a fault persists.
 #[derive(Debug, Default)]
 pub struct Vm {
     globals: HashMap<String, Value>,
@@ -135,11 +162,67 @@ pub struct Vm {
     last_mem_allocated: usize,
 }
 
-struct Frame {
-    proto: Option<Rc<FuncProto>>, // None = top level
+struct Frame<'c> {
+    code: &'c [Op],
     ip: usize,
     stack_base: usize,
-    locals: HashMap<u16, Value>,
+    /// Length of [`Locals::saved`] when the frame was entered.
+    saved_base: usize,
+}
+
+/// Function-frame locals, indexed by name slot and shallow-bound: `cells[i]`
+/// holds the innermost binding of name `i`, stamped with the depth of the
+/// frame that bound it. Only a stamp equal to the running frame's depth is
+/// visible, so a callee starts with no locals and never sees its caller's.
+/// A frame's first binding of a slot saves the cell it replaces; returning
+/// restores them. Top-level code (depth 1) binds nothing: its `let`s are
+/// globals.
+#[derive(Default)]
+struct Locals {
+    cells: Vec<Local>,
+    saved: Vec<(u16, Local)>,
+}
+
+#[derive(Default)]
+struct Local {
+    /// Depth of the binding frame; 0 = unbound.
+    depth: u32,
+    value: Value,
+}
+
+impl Locals {
+    fn get(&self, i: u16, depth: u32) -> Option<&Value> {
+        self.cells.get(i as usize).filter(|c| c.depth == depth).map(|c| &c.value)
+    }
+
+    /// Overwrites the running frame's binding of `i`; hands `v` back when
+    /// there is none.
+    fn set(&mut self, i: u16, depth: u32, v: Value) -> Result<(), Value> {
+        match self.cells.get_mut(i as usize) {
+            Some(c) if c.depth == depth => {
+                c.value = v;
+                Ok(())
+            }
+            _ => Err(v),
+        }
+    }
+
+    fn bind(&mut self, i: u16, depth: u32, v: Value) {
+        let cell = &mut self.cells[i as usize];
+        if cell.depth == depth {
+            cell.value = v;
+        } else {
+            let shadowed = std::mem::replace(cell, Local { depth, value: v });
+            self.saved.push((i, shadowed));
+        }
+    }
+
+    /// Undoes the bindings made since `saved.len()` was `base`.
+    fn unwind(&mut self, base: usize) {
+        for (i, cell) in self.saved.drain(base..).rev() {
+            self.cells[i as usize] = cell;
+        }
+    }
 }
 
 impl Vm {
@@ -186,214 +269,158 @@ impl Vm {
     ) -> Result<RunOutcome, RunScriptError> {
         let mut fuel = limits.fuel;
         let mut mem: usize = 0;
-        let result = self.exec(chunk, host, limits, &mut fuel, &mut mem);
+        let mut globals: Vec<Option<Value>> =
+            chunk.names.iter().map(|n| self.globals.get(n).cloned()).collect();
+        let result = exec(chunk, &mut globals, host, limits, &mut fuel, &mut mem);
+        for (name, value) in chunk.names.iter().zip(globals) {
+            if let Some(value) = value {
+                match self.globals.get_mut(name) {
+                    Some(slot) => *slot = value,
+                    None => {
+                        self.globals.insert(name.clone(), value);
+                    }
+                }
+            }
+        }
         self.last_fuel_used = limits.fuel - fuel;
         self.last_mem_allocated = mem;
         result.map(|value| RunOutcome { value, fuel_used: limits.fuel - fuel, mem_allocated: mem })
     }
+}
 
-    fn exec(
-        &mut self,
-        chunk: &Chunk,
-        host: &mut dyn HostEnv,
-        limits: VmLimits,
-        fuel: &mut u64,
-        mem: &mut usize,
-    ) -> Result<Value, RunScriptError> {
-        let mut stack: Vec<Value> = Vec::with_capacity(64);
-        let mut frames: Vec<Frame> =
-            vec![Frame { proto: None, ip: 0, stack_base: 0, locals: HashMap::new() }];
-        loop {
-            let frame = frames.last_mut().expect("at least one frame");
-            let code: &[Op] = match &frame.proto {
-                Some(p) => &p.code,
-                None => &chunk.code,
-            };
-            if frame.ip >= code.len() {
-                // Fell off the end: implicit nil return.
-                let done = self.do_return(&mut frames, &mut stack, Value::Nil);
-                if done {
-                    return Ok(Value::Nil);
-                }
-                continue;
+/// Executes `chunk` against `globals`, its name-slot view of the VM's
+/// globals.
+fn exec(
+    chunk: &Chunk,
+    globals: &mut [Option<Value>],
+    host: &mut dyn HostEnv,
+    limits: VmLimits,
+    fuel: &mut u64,
+    mem: &mut usize,
+) -> Result<Value, RunScriptError> {
+    let mut stack: Vec<Value> = Vec::with_capacity(64);
+    let mut frames: Vec<Frame> = vec![Frame { code: &chunk.code, ip: 0, stack_base: 0, saved_base: 0 }];
+    let mut locals = Locals::default();
+    if !chunk.functions.is_empty() {
+        locals.cells.resize_with(chunk.names.len(), Local::default);
+    }
+    loop {
+        let depth = frames.len() as u32;
+        let frame = frames.last_mut().expect("at least one frame");
+        let Some(&op) = frame.code.get(frame.ip) else {
+            // Fell off the end: implicit nil return.
+            if ret(&mut frames, &mut stack, &mut locals, Value::Nil) {
+                return Ok(Value::Nil);
             }
-            let op = code[frame.ip].clone();
-            frame.ip += 1;
-            if *fuel == 0 {
-                return Err(RunScriptError::OutOfFuel);
+            continue;
+        };
+        frame.ip += 1;
+        if *fuel == 0 {
+            return Err(RunScriptError::OutOfFuel);
+        }
+        *fuel -= 1;
+        if stack.len() > limits.max_stack {
+            return Err(RunScriptError::StackOverflow);
+        }
+        match op {
+            Op::Const(i) => stack.push(chunk.consts[i as usize].clone()),
+            Op::Nil => stack.push(Value::Nil),
+            Op::True => stack.push(Value::Bool(true)),
+            Op::False => stack.push(Value::Bool(false)),
+            Op::Load(i) => {
+                let v = match locals.get(i, depth) {
+                    Some(v) => v.clone(),
+                    None => globals[i as usize]
+                        .clone()
+                        .ok_or_else(|| RunScriptError::UndefinedVariable(chunk.name(i).to_owned()))?,
+                };
+                stack.push(v);
             }
-            *fuel -= 1;
-            if stack.len() > limits.max_stack {
-                return Err(RunScriptError::StackOverflow);
+            Op::Declare(i) => {
+                let v = pop(&mut stack)?;
+                if depth == 1 {
+                    globals[i as usize] = Some(v);
+                } else {
+                    locals.bind(i, depth, v);
+                }
             }
-            match op {
-                Op::Const(i) => stack.push(chunk.consts[i as usize].clone()),
-                Op::Nil => stack.push(Value::Nil),
-                Op::True => stack.push(Value::Bool(true)),
-                Op::False => stack.push(Value::Bool(false)),
-                Op::Load(i) => {
-                    let v = frame
-                        .locals
-                        .get(&i)
-                        .cloned()
-                        .or_else(|| self.globals.get(chunk.name(i)).cloned())
-                        .ok_or_else(|| RunScriptError::UndefinedVariable(chunk.name(i).to_owned()))?;
-                    stack.push(v);
+            Op::Store(i) => {
+                let v = pop(&mut stack)?;
+                if let Err(v) = locals.set(i, depth, v) {
+                    // Existing global or new global (top-level semantics).
+                    globals[i as usize] = Some(v);
                 }
-                Op::Declare(i) => {
-                    let v = pop(&mut stack)?;
-                    if frames.len() == 1 {
-                        self.globals.insert(chunk.name(i).to_owned(), v);
-                    } else {
-                        frames.last_mut().expect("frame").locals.insert(i, v);
-                    }
+            }
+            Op::MakeList(n) => {
+                let n = n as usize;
+                if stack.len() < n {
+                    return Err(RunScriptError::StackOverflow);
                 }
-                Op::Store(i) => {
-                    let v = pop(&mut stack)?;
-                    let frame = frames.last_mut().expect("frame");
-                    if let std::collections::hash_map::Entry::Occupied(mut e) = frame.locals.entry(i) {
-                        e.insert(v);
-                    } else {
-                        // Existing global or new global (top-level semantics).
-                        self.globals.insert(chunk.name(i).to_owned(), v);
-                    }
+                let items = stack.split_off(stack.len() - n);
+                let v = Value::list(items);
+                charge(mem, limits.max_memory, &v)?;
+                stack.push(v);
+            }
+            Op::Add => binary_num(&mut stack, "+", |a, b| a.checked_add(b), |a, b| a + b)?,
+            Op::Sub => binary_num(&mut stack, "-", |a, b| a.checked_sub(b), |a, b| a - b)?,
+            Op::Mul => binary_num(&mut stack, "*", |a, b| a.checked_mul(b), |a, b| a * b)?,
+            Op::Div => div(&mut stack)?,
+            Op::Mod => modulo(&mut stack)?,
+            Op::Concat => concat(&mut stack, mem, limits.max_memory)?,
+            Op::Eq => {
+                let b = pop(&mut stack)?;
+                let a = pop(&mut stack)?;
+                stack.push(Value::Bool(values_eq(&a, &b)));
+            }
+            Op::Ne => {
+                let b = pop(&mut stack)?;
+                let a = pop(&mut stack)?;
+                stack.push(Value::Bool(!values_eq(&a, &b)));
+            }
+            Op::Lt => compare(&mut stack, "<", |o| o == std::cmp::Ordering::Less)?,
+            Op::Le => compare(&mut stack, "<=", |o| o != std::cmp::Ordering::Greater)?,
+            Op::Gt => compare(&mut stack, ">", |o| o == std::cmp::Ordering::Greater)?,
+            Op::Ge => compare(&mut stack, ">=", |o| o != std::cmp::Ordering::Less)?,
+            Op::Neg => neg(&mut stack)?,
+            Op::Not => {
+                let a = pop(&mut stack)?;
+                stack.push(Value::Bool(!a.truthy()));
+            }
+            Op::Index => index(&mut stack)?,
+            Op::Jump(t) => frame.ip = t as usize,
+            Op::JumpIfFalse(t) => {
+                let v = pop(&mut stack)?;
+                if !v.truthy() {
+                    frame.ip = t as usize;
                 }
-                Op::MakeList(n) => {
-                    let n = n as usize;
-                    if stack.len() < n {
-                        return Err(RunScriptError::StackOverflow);
-                    }
-                    let items = stack.split_off(stack.len() - n);
-                    let v = Value::list(items);
-                    charge(mem, limits.max_memory, &v)?;
-                    stack.push(v);
+            }
+            Op::JumpIfFalseKeep(t) => {
+                let v = stack.last().ok_or(RunScriptError::StackOverflow)?;
+                if !v.truthy() {
+                    frame.ip = t as usize;
+                } else {
+                    stack.pop();
                 }
-                Op::Add => binary_num(&mut stack, "+", |a, b| a.checked_add(b), |a, b| a + b)?,
-                Op::Sub => binary_num(&mut stack, "-", |a, b| a.checked_sub(b), |a, b| a - b)?,
-                Op::Mul => binary_num(&mut stack, "*", |a, b| a.checked_mul(b), |a, b| a * b)?,
-                Op::Div => {
-                    let b = pop(&mut stack)?;
-                    let a = pop(&mut stack)?;
-                    let v = match (&a, &b) {
-                        (Value::Int(_), Value::Int(0)) => return Err(RunScriptError::DivisionByZero),
-                        (Value::Int(x), Value::Int(y)) => Value::Int(x / y),
-                        _ => {
-                            let (x, y) = both_nums(&a, &b, "/")?;
-                            if y == 0.0 {
-                                return Err(RunScriptError::DivisionByZero);
-                            }
-                            Value::Num(x / y)
-                        }
-                    };
-                    stack.push(v);
+            }
+            Op::JumpIfTrueKeep(t) => {
+                let v = stack.last().ok_or(RunScriptError::StackOverflow)?;
+                if v.truthy() {
+                    frame.ip = t as usize;
+                } else {
+                    stack.pop();
                 }
-                Op::Mod => {
-                    let b = pop(&mut stack)?;
-                    let a = pop(&mut stack)?;
-                    let v = match (&a, &b) {
-                        (Value::Int(_), Value::Int(0)) => return Err(RunScriptError::DivisionByZero),
-                        (Value::Int(x), Value::Int(y)) => Value::Int(x.rem_euclid(*y)),
-                        _ => {
-                            let (x, y) = both_nums(&a, &b, "%")?;
-                            if y == 0.0 {
-                                return Err(RunScriptError::DivisionByZero);
-                            }
-                            Value::Num(x.rem_euclid(y))
-                        }
-                    };
-                    stack.push(v);
+            }
+            Op::Call { name, argc } => {
+                let argc = argc as usize;
+                if stack.len() < argc {
+                    return Err(RunScriptError::StackOverflow);
                 }
-                Op::Concat => {
-                    let b = pop(&mut stack)?;
-                    let a = pop(&mut stack)?;
-                    let v = Value::str(format!("{a}{b}"));
-                    charge(mem, limits.max_memory, &v)?;
-                    stack.push(v);
-                }
-                Op::Eq => {
-                    let b = pop(&mut stack)?;
-                    let a = pop(&mut stack)?;
-                    stack.push(Value::Bool(values_eq(&a, &b)));
-                }
-                Op::Ne => {
-                    let b = pop(&mut stack)?;
-                    let a = pop(&mut stack)?;
-                    stack.push(Value::Bool(!values_eq(&a, &b)));
-                }
-                Op::Lt => compare(&mut stack, "<", |o| o == std::cmp::Ordering::Less)?,
-                Op::Le => compare(&mut stack, "<=", |o| o != std::cmp::Ordering::Greater)?,
-                Op::Gt => compare(&mut stack, ">", |o| o == std::cmp::Ordering::Greater)?,
-                Op::Ge => compare(&mut stack, ">=", |o| o != std::cmp::Ordering::Less)?,
-                Op::Neg => {
-                    let a = pop(&mut stack)?;
-                    let v = match a {
-                        Value::Int(x) => Value::Int(-x),
-                        Value::Num(x) => Value::Num(-x),
-                        other => {
-                            return Err(RunScriptError::TypeMismatch {
-                                op: "-".into(),
-                                found: other.type_name().into(),
-                            })
-                        }
-                    };
-                    stack.push(v);
-                }
-                Op::Not => {
-                    let a = pop(&mut stack)?;
-                    stack.push(Value::Bool(!a.truthy()));
-                }
-                Op::Index => {
-                    let idx = pop(&mut stack)?;
-                    let target = pop(&mut stack)?;
-                    let list = target.as_list().ok_or_else(|| RunScriptError::TypeMismatch {
-                        op: "[]".into(),
-                        found: target.type_name().into(),
-                    })?;
-                    let i = idx
-                        .as_int()
-                        .ok_or_else(|| RunScriptError::BadIndex(format!("index is {}", idx.type_name())))?;
-                    if i < 0 || i as usize >= list.len() {
-                        return Err(RunScriptError::BadIndex(format!(
-                            "index {i} out of range 0..{}",
-                            list.len()
-                        )));
-                    }
-                    stack.push(list[i as usize].clone());
-                }
-                Op::Jump(t) => frames.last_mut().expect("frame").ip = t as usize,
-                Op::JumpIfFalse(t) => {
-                    let v = pop(&mut stack)?;
-                    if !v.truthy() {
-                        frames.last_mut().expect("frame").ip = t as usize;
-                    }
-                }
-                Op::JumpIfFalseKeep(t) => {
-                    let v = stack.last().ok_or(RunScriptError::StackOverflow)?;
-                    if !v.truthy() {
-                        frames.last_mut().expect("frame").ip = t as usize;
-                    } else {
-                        stack.pop();
-                    }
-                }
-                Op::JumpIfTrueKeep(t) => {
-                    let v = stack.last().ok_or(RunScriptError::StackOverflow)?;
-                    if v.truthy() {
-                        frames.last_mut().expect("frame").ip = t as usize;
-                    } else {
-                        stack.pop();
-                    }
-                }
-                Op::Call { name, argc } => {
-                    let argc = argc as usize;
-                    if stack.len() < argc {
-                        return Err(RunScriptError::StackOverflow);
-                    }
-                    let args = stack.split_off(stack.len() - argc);
-                    let fname = chunk.name(name);
-                    if let Some(proto) = chunk.functions.get(fname).cloned() {
+                let base = stack.len() - argc;
+                match &chunk.callees[name as usize] {
+                    Callee::Script(proto) => {
                         if proto.params.len() != argc {
                             return Err(RunScriptError::ArityMismatch {
-                                name: fname.to_owned(),
+                                name: chunk.name(name).to_owned(),
                                 expected: proto.params.len(),
                                 got: argc,
                             });
@@ -401,71 +428,68 @@ impl Vm {
                         if frames.len() >= limits.max_frames {
                             return Err(RunScriptError::StackOverflow);
                         }
-                        let mut locals = HashMap::new();
-                        for (p, v) in proto.params.iter().zip(args) {
-                            // Parameter names live in the shared name table.
-                            let idx = chunk.names.iter().position(|n| n == p).map(|i| i as u16);
-                            match idx {
-                                Some(i) => {
-                                    locals.insert(i, v);
-                                }
-                                None => {
-                                    // Parameter never referenced in the body;
-                                    // binding is unobservable, skip it.
-                                }
+                        let saved_base = locals.saved.len();
+                        for (slot, v) in proto.param_slots.iter().zip(stack.drain(base..)) {
+                            if let Some(i) = *slot {
+                                locals.bind(i, depth + 1, v);
                             }
                         }
-                        frames.push(Frame { proto: Some(proto), ip: 0, stack_base: stack.len(), locals });
-                    } else if let Some(v) = builtin(fname, &args)? {
+                        frames.push(Frame { code: &proto.code, ip: 0, stack_base: base, saved_base });
+                    }
+                    Callee::Builtin(b) => {
+                        let v = builtin(*b, &stack[base..])?;
                         charge(mem, limits.max_memory, &v)?;
+                        stack.truncate(base);
                         stack.push(v);
-                    } else {
-                        // Anything past the builtins is a host dispatch;
-                        // surcharge it before the host runs.
+                    }
+                    Callee::Host => {
+                        // Surcharge a host dispatch before the host runs.
                         if *fuel < limits.host_call_fuel {
                             return Err(RunScriptError::OutOfFuel);
                         }
                         *fuel -= limits.host_call_fuel;
-                        match host.call_host(fname, &args)? {
+                        let fname = chunk.name(name);
+                        match host.call_host(fname, &stack[base..])? {
                             Some(v) => {
                                 charge(mem, limits.max_memory, &v)?;
+                                stack.truncate(base);
                                 stack.push(v);
                             }
                             None => return Err(RunScriptError::UndefinedFunction(fname.to_owned())),
                         }
                     }
                 }
-                Op::Return => {
-                    let v = pop(&mut stack)?;
-                    let done = self.do_return(&mut frames, &mut stack, v.clone());
-                    if done {
-                        return Ok(v);
-                    }
+            }
+            Op::Return => {
+                let v = pop(&mut stack)?;
+                if ret(&mut frames, &mut stack, &mut locals, v.clone()) {
+                    return Ok(v);
                 }
-                Op::ReturnNil => {
-                    let done = self.do_return(&mut frames, &mut stack, Value::Nil);
-                    if done {
-                        return Ok(Value::Nil);
-                    }
+            }
+            Op::ReturnNil => {
+                if ret(&mut frames, &mut stack, &mut locals, Value::Nil) {
+                    return Ok(Value::Nil);
                 }
-                Op::Pop => {
-                    pop(&mut stack)?;
-                }
+            }
+            Op::Pop => {
+                pop(&mut stack)?;
             }
         }
     }
+}
 
-    /// Pops a frame, truncating the stack and pushing the return value into
-    /// the caller. Returns `true` when the popped frame was the last one.
-    fn do_return(&mut self, frames: &mut Vec<Frame>, stack: &mut Vec<Value>, value: Value) -> bool {
-        let frame = frames.pop().expect("frame");
-        stack.truncate(frame.stack_base);
-        if frames.is_empty() {
-            true
-        } else {
-            stack.push(value);
-            false
-        }
+/// Pops a frame, truncating the stack, dropping the frame's locals and
+/// pushing the return value into the caller. Returns `true` when the popped
+/// frame was the last one.
+fn ret(frames: &mut Vec<Frame>, stack: &mut Vec<Value>, locals: &mut Locals, value: Value) -> bool {
+    let frame = frames.pop().expect("frame");
+    stack.truncate(frame.stack_base);
+    locals.unwind(frame.saved_base);
+    if frames.is_empty() {
+        true
+    } else {
+        stack.push(value);
+        false
     }
 }
 
@@ -482,6 +506,77 @@ fn charge(mem: &mut usize, limit: usize, v: &Value) -> Result<(), RunScriptError
             return Err(RunScriptError::OutOfMemory { used: *mem, limit });
         }
     }
+    Ok(())
+}
+
+fn div(stack: &mut Vec<Value>) -> Result<(), RunScriptError> {
+    let b = pop(stack)?;
+    let a = pop(stack)?;
+    let v = match (&a, &b) {
+        (Value::Int(_), Value::Int(0)) => return Err(RunScriptError::DivisionByZero),
+        (Value::Int(x), Value::Int(y)) => Value::Int(x / y),
+        _ => {
+            let (x, y) = both_nums(&a, &b, "/")?;
+            if y == 0.0 {
+                return Err(RunScriptError::DivisionByZero);
+            }
+            Value::Num(x / y)
+        }
+    };
+    stack.push(v);
+    Ok(())
+}
+
+fn modulo(stack: &mut Vec<Value>) -> Result<(), RunScriptError> {
+    let b = pop(stack)?;
+    let a = pop(stack)?;
+    let v = match (&a, &b) {
+        (Value::Int(_), Value::Int(0)) => return Err(RunScriptError::DivisionByZero),
+        (Value::Int(x), Value::Int(y)) => Value::Int(x.rem_euclid(*y)),
+        _ => {
+            let (x, y) = both_nums(&a, &b, "%")?;
+            if y == 0.0 {
+                return Err(RunScriptError::DivisionByZero);
+            }
+            Value::Num(x.rem_euclid(y))
+        }
+    };
+    stack.push(v);
+    Ok(())
+}
+
+fn concat(stack: &mut Vec<Value>, mem: &mut usize, limit: usize) -> Result<(), RunScriptError> {
+    let b = pop(stack)?;
+    let a = pop(stack)?;
+    let v = Value::str(format!("{a}{b}"));
+    charge(mem, limit, &v)?;
+    stack.push(v);
+    Ok(())
+}
+
+fn neg(stack: &mut Vec<Value>) -> Result<(), RunScriptError> {
+    let v = match pop(stack)? {
+        Value::Int(x) => Value::Int(-x),
+        Value::Num(x) => Value::Num(-x),
+        other => {
+            return Err(RunScriptError::TypeMismatch { op: "-".into(), found: other.type_name().into() })
+        }
+    };
+    stack.push(v);
+    Ok(())
+}
+
+fn index(stack: &mut Vec<Value>) -> Result<(), RunScriptError> {
+    let idx = pop(stack)?;
+    let target = pop(stack)?;
+    let list = target
+        .as_list()
+        .ok_or_else(|| RunScriptError::TypeMismatch { op: "[]".into(), found: target.type_name().into() })?;
+    let i = idx.as_int().ok_or_else(|| RunScriptError::BadIndex(format!("index is {}", idx.type_name())))?;
+    if i < 0 || i as usize >= list.len() {
+        return Err(RunScriptError::BadIndex(format!("index {i} out of range 0..{}", list.len())));
+    }
+    stack.push(list[i as usize].clone());
     Ok(())
 }
 
@@ -545,17 +640,17 @@ fn compare(
     Ok(())
 }
 
-/// VM builtins. Returns `Ok(None)` when `name` is not a builtin.
-fn builtin(name: &str, args: &[Value]) -> Result<Option<Value>, RunScriptError> {
+/// Runs a VM builtin.
+fn builtin(b: Builtin, args: &[Value]) -> Result<Value, RunScriptError> {
     let arity = |expected: usize| -> Result<(), RunScriptError> {
         if args.len() != expected {
-            Err(RunScriptError::ArityMismatch { name: name.to_owned(), expected, got: args.len() })
+            Err(RunScriptError::ArityMismatch { name: b.name().to_owned(), expected, got: args.len() })
         } else {
             Ok(())
         }
     };
-    match name {
-        "len" => {
+    match b {
+        Builtin::Len => {
             arity(1)?;
             let v = match &args[0] {
                 Value::Str(s) => s.len() as i64,
@@ -567,13 +662,13 @@ fn builtin(name: &str, args: &[Value]) -> Result<Option<Value>, RunScriptError> 
                     })
                 }
             };
-            Ok(Some(Value::Int(v)))
+            Ok(Value::Int(v))
         }
-        "str" => {
+        Builtin::Str => {
             arity(1)?;
-            Ok(Some(Value::str(args[0].to_string())))
+            Ok(Value::str(args[0].to_string()))
         }
-        "push" => {
+        Builtin::Push => {
             arity(2)?;
             let list = args[0].as_list().ok_or_else(|| RunScriptError::TypeMismatch {
                 op: "push".into(),
@@ -581,9 +676,9 @@ fn builtin(name: &str, args: &[Value]) -> Result<Option<Value>, RunScriptError> 
             })?;
             let mut v = list.to_vec();
             v.push(args[1].clone());
-            Ok(Some(Value::list(v)))
+            Ok(Value::list(v))
         }
-        "contains" => {
+        Builtin::Contains => {
             arity(2)?;
             let v = match (&args[0], &args[1]) {
                 (Value::Str(hay), Value::Str(needle)) => hay.contains(&**needle),
@@ -595,9 +690,9 @@ fn builtin(name: &str, args: &[Value]) -> Result<Option<Value>, RunScriptError> 
                     })
                 }
             };
-            Ok(Some(Value::Bool(v)))
+            Ok(Value::Bool(v))
         }
-        "range" => {
+        Builtin::Range => {
             arity(1)?;
             let n = args[0].as_int().ok_or_else(|| RunScriptError::TypeMismatch {
                 op: "range".into(),
@@ -606,9 +701,8 @@ fn builtin(name: &str, args: &[Value]) -> Result<Option<Value>, RunScriptError> 
             if !(0..=1_000_000).contains(&n) {
                 return Err(RunScriptError::BadIndex(format!("range({n}) out of bounds")));
             }
-            Ok(Some(Value::list((0..n).map(Value::Int).collect())))
+            Ok(Value::list((0..n).map(Value::Int).collect()))
         }
-        _ => Ok(None),
     }
 }
 
@@ -682,6 +776,16 @@ mod tests {
             eval("let x = 1\nfn f(x) x = 99 return x end\nf(5)\nreturn x").unwrap(),
             Value::Int(1),
             "parameters shadow and do not leak"
+        );
+        assert_eq!(
+            eval("let g = 1\nfn f() g = g + 10 end\nf()\nreturn g").unwrap(),
+            Value::Int(11),
+            "a store with no local writes the global"
+        );
+        assert_eq!(
+            eval("let g = 1\nfn f() let g = 5 g = g + 1 return g end\nreturn f() * 100 + g").unwrap(),
+            Value::Int(601),
+            "a let shadows the global without leaking"
         );
     }
 
@@ -805,6 +909,22 @@ mod tests {
         let out = vm.run(&c2, &mut NoHost, VmLimits::default()).unwrap();
         assert_eq!(out.value, Value::Int(42));
         assert_eq!(vm.global("counter"), Some(&Value::Int(42)));
+
+        // Chunks with different name tables share globals by name.
+        let mut vm = Vm::new();
+        let a = compile("let a = 1\nlet b = 2").unwrap();
+        let b = compile("b = b + 40\nreturn a + b").unwrap();
+        assert_ne!(a.names, b.names);
+        vm.run(&a, &mut NoHost, VmLimits::default()).unwrap();
+        assert_eq!(vm.run(&b, &mut NoHost, VmLimits::default()).unwrap().value, Value::Int(43));
+
+        // A write made before a fault persists.
+        let mut vm = Vm::new();
+        let mut host = FnHost::new();
+        host.register("fail", |_| Err(RunScriptError::Host("boom".into())));
+        let chunk = compile("let x = 1\nfail()").unwrap();
+        assert!(vm.run(&chunk, &mut host, VmLimits::default()).is_err());
+        assert_eq!(vm.global("x"), Some(&Value::Int(1)));
     }
 
     #[test]
