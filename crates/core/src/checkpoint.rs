@@ -416,21 +416,28 @@ fn append_fully(file: &mut dyn StorageFile, mut buf: &[u8]) -> std::io::Result<(
     Ok(())
 }
 
-/// One durable line: append + flush with transient retry, then fsync.
-/// A failed fsync is **always** fatal whatever its kind — after it the
-/// kernel page-cache state is unknowable, so a retried fsync that "works"
-/// could still silently drop the line (the fsyncgate lesson).
-fn write_durable_line(st: &mut WriterState, policy: &IoRetryPolicy, line: &[u8]) -> Result<(), StorageFault> {
+/// Makes `framed` durable: append + flush with transient retry, then one
+/// fsync. `framed` is one or more lines, each ending in `\n`, so a batch of
+/// lines costs the same single fsync as one line. A failed fsync is
+/// **always** fatal whatever its kind — after it the kernel page-cache state
+/// is unknowable, so a retried fsync that "works" could still silently drop
+/// the lines (the fsyncgate lesson).
+fn write_durable_lines(
+    st: &mut WriterState,
+    policy: &IoRetryPolicy,
+    framed: &[u8],
+) -> Result<(), StorageFault> {
     let mut attempt = 0u32;
     loop {
+        let healed;
+        let buf = if st.dirty_tail {
+            healed = [b"\n", framed].concat();
+            &healed[..]
+        } else {
+            framed
+        };
         let file = st.file.as_mut().expect("caller checks quarantine before writing");
-        let mut buf = Vec::with_capacity(line.len() + 2);
-        if st.dirty_tail {
-            buf.push(b'\n');
-        }
-        buf.extend_from_slice(line);
-        buf.push(b'\n');
-        match append_fully(file.as_mut(), &buf).and_then(|()| file.flush()) {
+        match append_fully(file.as_mut(), buf).and_then(|()| file.flush()) {
             Ok(()) => {}
             Err(e) => {
                 // Bytes may have landed before the error; mark the tail
@@ -543,39 +550,54 @@ impl CheckpointWriter {
     /// fsynced**: once this returns, the record survives a `SIGKILL` — or a
     /// power cut — landing immediately after. A kill mid-call can tear at
     /// most the line in flight, which the lenient loader skips and counts.
-    pub fn record(
-        &self,
-        experiment: &str,
-        base_seed: u64,
-        rec: &CheckpointRecord,
-    ) -> Result<(), CheckpointError> {
-        self.append_json(&rec.to_json(experiment, base_seed))
+    pub fn record(&self, experiment: &str, base_seed: u64, rec: &CheckpointRecord) {
+        self.append_json(&rec.to_json(experiment, base_seed));
     }
 
     /// Appends one arbitrary record as a single compact-JSON line with the
-    /// same flush+fsync durability contract as [`CheckpointWriter::record`].
-    /// The job journal writes its state transitions through this.
+    /// same durability contract as [`CheckpointWriter::record`]: the
+    /// one-line case of the batch append the job journal commits through.
+    /// Storage faults never surface: a fatal one quarantines the writer
+    /// (see [`CheckpointWriter::quarantine`]).
+    pub fn append_json(&self, record: &Json) {
+        self.append_lines(std::slice::from_ref(&record.to_compact_string()));
+    }
+
+    /// Appends `lines` (compact JSON, one record each, no newlines) as one
+    /// group commit: a single append, flush and **fsync** for the whole
+    /// batch. Once this returns, every line survives a `SIGKILL` or a power
+    /// cut landing immediately after. A kill mid-call can tear the batch at
+    /// any byte, leaving a prefix of its lines and at most one torn line,
+    /// which the lenient loader skips and counts. An empty batch does
+    /// nothing.
     ///
-    /// Storage faults never surface as `Err`: transients are retried per the
-    /// writer's [`IoRetryPolicy`], and a fatal fault quarantines the writer
-    /// (this and every later append return `Ok` without persisting — see
+    /// Storage faults never surface: transients are retried per the
+    /// writer's [`IoRetryPolicy`], and a fatal fault quarantines the writer,
+    /// which drops this batch and every later one (see
     /// [`CheckpointWriter::quarantine`]).
-    pub fn append_json(&self, record: &Json) -> Result<(), CheckpointError> {
-        let line = record.to_compact_string();
+    pub(crate) fn append_lines(&self, lines: &[String]) {
+        if lines.is_empty() {
+            return;
+        }
+        let mut framed = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in lines {
+            framed.extend_from_slice(line.as_bytes());
+            framed.push(b'\n');
+        }
         let mut st = self.inner.lock().expect("checkpoint lock never held across user code");
         if st.quarantined.is_some() {
-            return Ok(());
+            return;
         }
-        match write_durable_line(&mut st, &self.policy, line.as_bytes()) {
+        match write_durable_lines(&mut st, &self.policy, &framed) {
             Ok(()) => {
-                telemetry::ckpt_line_written(line.len() as u64 + 1);
-                Ok(())
+                for line in lines {
+                    telemetry::ckpt_line_written(line.len() as u64 + 1);
+                }
             }
             Err(fault) => {
                 st.file = None;
                 st.quarantined = Some(fault);
                 telemetry::ckpt_journal_quarantined();
-                Ok(())
             }
         }
     }
@@ -705,9 +727,7 @@ pub fn repair_journal_with(
         Ok(file) => WriterState { file: Some(file), quarantined: None, dirty_tail: false },
         Err(e) => return Err(io_error(&staging, &e)),
     };
-    for key in &order {
-        write_durable_line(&mut st, &policy, slots[key].as_bytes()).map_err(fault_err)?;
-    }
+    write_durable_lines(&mut st, &policy, compacted.as_bytes()).map_err(fault_err)?;
     drop(st);
     backend.rename(&staging, path).map_err(|e| io_error(path, &e))?;
     Ok(RepairSummary {
@@ -905,12 +925,11 @@ where
     let fresh = sweep::run(cfg.experiment, cfg.base_seed, &todo, cfg.pool.resolve(), |_, &(orig, p)| {
         let ctx = SweepCtx { experiment: cfg.experiment, point: orig, base_seed: cfg.base_seed };
         let record = outcome_record(orig, sweep::supervised_point(&ctx, &supervisor, p, &run_point));
-        let written = writer.record(cfg.experiment, cfg.base_seed, &record);
+        writer.record(cfg.experiment, cfg.base_seed, &record);
         telemetry::sample_boundary();
-        (record, written)
+        record
     });
-    for (record, written) in fresh {
-        written?;
+    for record in fresh {
         slots.insert(record.point, PointReport { record, resumed: false });
     }
 
@@ -998,7 +1017,7 @@ mod tests {
             },
         ];
         for rec in &recs {
-            writer.record("test", 7, rec).unwrap();
+            writer.record("test", 7, rec);
         }
         let manifest = Manifest::load(&path, "test", 7).unwrap();
         assert_eq!(manifest.skipped_lines, 0);
@@ -1025,9 +1044,9 @@ mod tests {
             fuel_used: None,
             violations: vec![],
         };
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         rec.row = Some(row(5));
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         // A torn final line and a hash-tampered record.
         let mut text = std::fs::read_to_string(&path).unwrap();
         let tampered = text.replace("\"value\":50", "\"value\":51");
@@ -1063,7 +1082,7 @@ mod tests {
                 fuel_used: None,
                 violations: vec![],
             };
-            writer.record("test", 7, &rec).unwrap();
+            writer.record("test", 7, &rec);
         }
         drop(writer);
         // Chop the file mid-way through the final line, as a SIGKILL (or a
@@ -1097,7 +1116,7 @@ mod tests {
             fuel_used: None,
             violations: vec![],
         };
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         let err = Manifest::load(&path, "test", 8).unwrap_err();
         assert!(matches!(err, CheckpointError::WrongSweep { .. }), "{err}");
         assert!(err.to_string().contains("different sweep"), "{err}");
@@ -1286,13 +1305,113 @@ mod tests {
         let writer = CheckpointWriter::create_with(&path, &chaos);
         assert!(writer.quarantine().is_none(), "opening alone does not fsync");
         let rec = CheckpointRecord::cancelled(0);
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         let fault = writer.quarantine().expect("the first fsync fails and quarantines");
         assert_eq!(fault.op, StorageOp::Fsync);
         // Later appends are silent no-ops: the run continues unpersisted.
-        writer.record("test", 7, &CheckpointRecord::cancelled(1)).unwrap();
+        writer.record("test", 7, &CheckpointRecord::cancelled(1));
         assert_eq!(chaos.stats().injected.get("fsync_fail"), Some(&1), "no retried fsync");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A backend over [`ChaosFs`] whose files fail their second fsync, so
+    /// exactly one batch is durable when the writer quarantines.
+    #[derive(Debug)]
+    struct SecondFsyncFails(crate::chaosfs::ChaosFs);
+
+    #[derive(Debug)]
+    struct SecondFsyncFailsFile {
+        inner: Box<dyn StorageFile>,
+        fsyncs: u32,
+    }
+
+    impl StorageFile for SecondFsyncFailsFile {
+        fn append(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.inner.append(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+
+        fn fsync(&mut self) -> std::io::Result<()> {
+            self.fsyncs += 1;
+            if self.fsyncs == 2 {
+                // Never reaches the chaos backend, so its shadow model keeps
+                // the batch volatile.
+                return Err(std::io::Error::other("second fsync fails (EIO)"));
+            }
+            self.inner.fsync()
+        }
+    }
+
+    impl StorageBackend for SecondFsyncFails {
+        fn create(&self, path: &Path) -> std::io::Result<Box<dyn StorageFile>> {
+            Ok(Box::new(SecondFsyncFailsFile { inner: self.0.create(path)?, fsyncs: 0 }))
+        }
+
+        fn open_append(&self, path: &Path) -> std::io::Result<Box<dyn StorageFile>> {
+            Ok(Box::new(SecondFsyncFailsFile { inner: self.0.open_append(path)?, fsyncs: 0 }))
+        }
+
+        fn read_to_string(&self, path: &Path) -> std::io::Result<String> {
+            self.0.read_to_string(path)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.0.rename(from, to)
+        }
+    }
+
+    #[test]
+    fn a_failed_batch_fsync_quarantines_and_the_durable_batches_survive_repair() {
+        use crate::chaosfs::{ChaosFs, FaultSchedule};
+        let chaos = ChaosFs::new(FaultSchedule::quiet(19));
+        let path = temp_path("batch-fsync");
+        let writer = CheckpointWriter::create_with(&path, &SecondFsyncFails(chaos.clone()));
+        let batch = |points: std::ops::Range<usize>| -> Vec<String> {
+            points
+                .map(|point| {
+                    let rec = CheckpointRecord {
+                        status: PointStatus::Completed,
+                        row: Some(row(point)),
+                        ..CheckpointRecord::cancelled(point)
+                    };
+                    rec.to_json("test", 7).to_compact_string()
+                })
+                .collect()
+        };
+        let (first, second) = (batch(0..3), batch(3..6));
+        writer.append_lines(&first);
+        assert!(writer.quarantine().is_none(), "the first batch's fsync succeeds");
+        writer.append_lines(&second);
+        let fault = writer.quarantine().expect("the second batch's fsync fails and quarantines");
+        assert_eq!(fault.op, StorageOp::Fsync);
+        let first_bytes: u64 = first.iter().map(|l| l.len() as u64 + 1).sum();
+        assert_eq!(chaos.durable_len_at(&path, chaos.ops()), first_bytes, "only the first batch is durable");
+
+        // Later batches are no-ops: nothing reaches the disk.
+        let (ops, len) = (chaos.ops(), std::fs::metadata(&path).unwrap().len());
+        writer.append_lines(&batch(6..9));
+        assert_eq!(chaos.ops(), ops);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+
+        // A power cut now leaves the first batch; repair keeps exactly it.
+        let crashed = temp_path("batch-fsync-crash");
+        std::fs::write(&crashed, chaos.crash_image(&path, chaos.ops(), false).unwrap()).unwrap();
+        let summary = repair_journal(&crashed).unwrap();
+        assert_eq!((summary.kept, summary.dropped), (3, 0));
+        assert_eq!(std::fs::read_to_string(&crashed).unwrap().lines().collect::<Vec<_>>(), first);
+        // With a torn tail the cut may also keep some unsynced lines, but
+        // only a prefix of the failed batch, after the durable one.
+        std::fs::write(&crashed, chaos.crash_image(&path, chaos.ops(), true).unwrap()).unwrap();
+        repair_journal(&crashed).unwrap();
+        let repaired = std::fs::read_to_string(&crashed).unwrap();
+        let repaired: Vec<&str> = repaired.lines().collect();
+        assert_eq!(repaired[..3], first[..]);
+        assert_eq!(repaired[3..], second[..repaired.len() - 3]);
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&crashed).unwrap();
     }
 
     #[test]
@@ -1364,7 +1483,7 @@ mod tests {
                 fuel_used: None,
                 violations: vec![],
             };
-            writer.record("test", 7, &rec).unwrap();
+            writer.record("test", 7, &rec);
         }
         assert!(writer.quarantine().is_none(), "transients alone never quarantine");
         assert!(!chaos.stats().injected.is_empty(), "this schedule injects within 40 records");
@@ -1392,12 +1511,12 @@ mod tests {
             fuel_used: None,
             violations: vec![],
         };
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         rec.row = Some(row(5));
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         rec.point = 1;
         rec.row = Some(row(1));
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         // Damage: a tampered duplicate of point 1 and a torn tail.
         let mut text = std::fs::read_to_string(&path).unwrap();
         let tampered = text.lines().last().unwrap().replace("\"value\":10", "\"value\":11");

@@ -36,7 +36,7 @@ pub enum Error {
     Invariant(InvariantViolation),
     /// Checkpoint persistence or resume failed ([`CheckpointError`]).
     Checkpoint(CheckpointError),
-    /// A job-queue submission or journal operation failed ([`JobError`]).
+    /// A job-queue submission failed admission ([`JobError`]).
     Job(JobError),
     /// A Flua scenario/module script failed to compile
     /// ([`CompileScriptError`]).

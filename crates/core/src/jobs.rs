@@ -32,13 +32,19 @@
 //!
 //! ## Journal and result cache
 //!
-//! With a journal configured, the queue appends one fsynced compact-JSON
-//! line per state transition (admission, each point record, the terminal
-//! verdict), FNV-hashed exactly like checkpoint records. A `SIGKILL`'d
-//! queue resumed with the same submissions replays the journal and
-//! reproduces every finished job's report byte-identically without
-//! re-evaluating its points; a changed resubmission is rejected with
-//! [`RejectReason::JournalMismatch`] rather than silently spliced.
+//! With a journal configured, the queue journals each state transition
+//! (admission, each point record, the terminal verdict) as one compact-JSON
+//! line, FNV-hashed exactly like checkpoint records. The lines are group
+//! committed: workers queue them under the scheduler lock in transition
+//! order, and the thread that called [`JobQueue::run`] writes whatever has
+//! queued with one append and one fsync, outside the lock. The file
+//! therefore always holds a prefix of the line sequence — a job's admission
+//! precedes its points, its terminal line follows them — and `run` returns
+//! only once every line is durable or the journal is quarantined (below).
+//! A `SIGKILL`'d queue resumed with the same submissions replays the
+//! journal and reproduces every finished job's report byte-identically
+//! without re-evaluating its points; a changed resubmission is rejected
+//! with [`RejectReason::JournalMismatch`] rather than silently spliced.
 //!
 //! The journal rides through a [`StorageBackend`]
 //! (see [`chaosfs`](crate::chaosfs)): transient I/O faults are retried with
@@ -59,12 +65,12 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use malsim_kernel::sched::Watchdog;
 
 use crate::chaosfs::{StorageBackend, StorageFault, REAL_FS};
-use crate::checkpoint::{self, fnv1a64, CheckpointError, CheckpointRecord, CheckpointWriter, PointStatus};
+use crate::checkpoint::{self, fnv1a64, CheckpointRecord, CheckpointWriter, PointStatus};
 use crate::report::{self, Json};
 use crate::sweep::{self, PointRun, PoolConfig, ScriptFaultInfo, SweepCtx, SweepSupervisor};
 use crate::telemetry;
@@ -301,20 +307,19 @@ impl std::fmt::Display for Rejected {
 
 impl std::error::Error for Rejected {}
 
-/// Errors from the job queue: typed admission failures and journal I/O.
+/// Errors from the job queue: typed admission failures. Journal storage
+/// faults are not errors — they degrade the queue instead (see
+/// [`QueueRun::storage_degraded`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
     /// A submission failed admission control.
     Rejected(Rejected),
-    /// The job journal could not be read or appended.
-    Journal(CheckpointError),
 }
 
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobError::Rejected(r) => write!(f, "{r}"),
-            JobError::Journal(e) => write!(f, "job journal: {e}"),
         }
     }
 }
@@ -323,7 +328,6 @@ impl std::error::Error for JobError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             JobError::Rejected(r) => Some(r),
-            JobError::Journal(e) => Some(e),
         }
     }
 }
@@ -331,12 +335,6 @@ impl std::error::Error for JobError {
 impl From<Rejected> for JobError {
     fn from(r: Rejected) -> JobError {
         JobError::Rejected(r)
-    }
-}
-
-impl From<CheckpointError> for JobError {
-    fn from(e: CheckpointError) -> JobError {
-        JobError::Journal(e)
     }
 }
 
@@ -631,13 +629,13 @@ struct JournalLoad {
 /// failed hashes) are skipped and counted; a missing file is an empty
 /// journal; a fatal read fault degrades to an empty journal with the typed
 /// reason in [`JournalLoad::load_fault`].
-fn load_journal(path: &Path, backend: &dyn StorageBackend) -> Result<JournalLoad, CheckpointError> {
+fn load_journal(path: &Path, backend: &dyn StorageBackend) -> JournalLoad {
     let text = match checkpoint::read_with_retry(path, backend) {
         Ok(Some(text)) => text,
-        Ok(None) => return Ok(JournalLoad::default()),
+        Ok(None) => return JournalLoad::default(),
         Err(fault) => {
             telemetry::ckpt_journal_quarantined();
-            return Ok(JournalLoad { load_fault: Some(fault), ..JournalLoad::default() });
+            return JournalLoad { load_fault: Some(fault), ..JournalLoad::default() };
         }
     };
     let mut jobs: BTreeMap<String, JournalJob> = BTreeMap::new();
@@ -674,23 +672,23 @@ fn load_journal(path: &Path, backend: &dyn StorageBackend) -> Result<JournalLoad
         } else {
             // A point record; its `experiment` field carries the job id, so
             // parse it under the line's own identity (`from_line` still
-            // validates status and row hash).
+            // validates status and row hash, and cannot see a wrong sweep).
             let (Some(job_id), Some(seed)) =
                 (v.get("experiment").and_then(Json::as_str), v.get("base_seed").and_then(Json::as_u64))
             else {
                 skipped += 1;
                 continue;
             };
-            match CheckpointRecord::from_line(line, path, job_id, seed)? {
-                Some(rec) => {
+            match CheckpointRecord::from_line(line, path, job_id, seed) {
+                Ok(Some(rec)) => {
                     jobs.entry(job_id.to_owned()).or_default().records.insert(rec.point, rec);
                 }
-                None => skipped += 1,
+                _ => skipped += 1,
             }
         }
     }
     telemetry::ckpt_damaged_lines(skipped as u64);
-    Ok(JournalLoad { jobs, skipped, load_fault: None })
+    JournalLoad { jobs, skipped, load_fault: None }
 }
 
 /// One entry of the content-addressed result cache / claim table.
@@ -734,7 +732,10 @@ struct JobState {
 }
 
 /// Shared scheduler state: one mutex, held only for bookkeeping — never
-/// across a point evaluation or a journal fsync of another worker.
+/// across a point evaluation or a journal write. Each transition queues its
+/// journal line here, under the lock that books it, so the queue holds the
+/// lines in transition order; [`commit_journal`] writes them outside the
+/// lock.
 #[derive(Debug, Default)]
 struct Sched {
     jobs: Vec<JobState>,
@@ -742,13 +743,31 @@ struct Sched {
     /// Per-tenant virtual time: the tenant with the smallest clock is
     /// dispatched next; each dispatch advances it by `QUANTUM / weight`.
     vtime: BTreeMap<String, u64>,
-    /// First journal failure; aborts the run.
-    error: Option<CheckpointError>,
+    /// Rendered journal lines not yet handed to the writer, oldest first;
+    /// `None` when the queue runs without a journal.
+    journal: Option<Vec<String>>,
+    /// Workers still running. The committer returns once this is zero and
+    /// `journal` is empty.
+    workers: usize,
 }
 
 impl Sched {
     fn all_done(&self) -> bool {
-        self.error.is_some() || self.jobs.iter().all(|j| j.done)
+        self.jobs.iter().all(|j| j.done)
+    }
+
+    /// Queues the journal line of one point record.
+    fn journal_record(&mut self, spec: &JobSpec, rec: &CheckpointRecord) {
+        if let Some(lines) = &mut self.journal {
+            lines.push(rec.to_json(&spec.job_id, spec.base_seed).to_compact_string());
+        }
+    }
+
+    /// Queues the journal line of one job-state transition.
+    fn journal_transition(&mut self, spec: &JobSpec, status: &str) {
+        if let Some(lines) = &mut self.journal {
+            lines.push(transition(spec, status).to_compact_string());
+        }
     }
 }
 
@@ -788,7 +807,7 @@ impl JobQueue {
     /// [`QueueRun::storage_degraded`].
     pub fn new(cfg: QueueConfig) -> Result<JobQueue, JobError> {
         let loaded = match (&cfg.journal, cfg.resume) {
-            (Some(path), true) => load_journal(path, cfg.storage.as_deref().unwrap_or(&REAL_FS))?,
+            (Some(path), true) => load_journal(path, cfg.storage.as_deref().unwrap_or(&REAL_FS)),
             _ => JournalLoad::default(),
         };
         Ok(JobQueue {
@@ -858,6 +877,10 @@ impl JobQueue {
     /// [`JobPoint::watchdog`]) so that results are byte-identical at every
     /// worker count and safely shareable through the result cache. Panics
     /// and script faults are contained per the owning job's budget.
+    ///
+    /// The calling thread commits the journal in batches while the workers
+    /// run, and returns once every line is written; storage faults degrade
+    /// the run rather than fail it.
     pub fn run<F>(self, run_point: F) -> Result<QueueRun, JobError>
     where
         F: Fn(&JobPoint<'_>) -> Result<PointRun<Json>, ScriptFaultInfo> + Sync,
@@ -871,14 +894,13 @@ impl JobQueue {
                 CheckpointWriter::create_with(path, backend)
             }
         });
-        let writer = writer.as_ref();
 
         // Seed per-job state: restore journal records, register resumed
         // results in the cache, then assign every remaining point either a
         // claim (owner → pending, duplicate → parked/served) or, for
         // uncacheable jobs, straight to pending. Claims are made in
         // submission order, so the designated evaluator is deterministic.
-        let mut sched = Sched::default();
+        let mut sched = Sched { journal: writer.as_ref().map(|_| Vec::new()), ..Sched::default() };
         for (j, spec) in specs.iter().enumerate() {
             let mut st = JobState::default();
             if let Some(entry) = journal_jobs.get(&spec.job_id) {
@@ -901,16 +923,14 @@ impl JobQueue {
                     for idx in 0..spec.grid.len() {
                         if let std::collections::btree_map::Entry::Vacant(slot) = st.records.entry(idx) {
                             let rec = CheckpointRecord::cancelled(idx);
-                            if let Some(w) = writer {
-                                w.record(&spec.job_id, spec.base_seed, &rec)?;
-                            }
+                            sched.journal_record(spec, &rec);
                             slot.insert(rec);
                             telemetry::jobs_cancelled_points(1);
                         }
                     }
                 }
-            } else if let Some(w) = writer {
-                w.append_json(&transition(spec, "admitted"))?;
+            } else {
+                sched.journal_transition(spec, "admitted");
             }
             if spec.budget.cacheable() {
                 for (&idx, rec) in &st.records {
@@ -938,9 +958,7 @@ impl JobQueue {
                         ClaimState::Done(rec) => {
                             let mut copy = rec.clone();
                             copy.point = idx;
-                            if let Some(w) = writer {
-                                w.record(&spec.job_id, spec.base_seed, &copy)?;
-                            }
+                            sched.journal_record(spec, &copy);
                             st.records.insert(idx, copy);
                             st.cached += 1;
                             telemetry::cache_hit();
@@ -968,18 +986,19 @@ impl JobQueue {
 
         let total_pending: usize = sched.jobs.iter().map(|s| s.pending.len()).sum();
         let threads = cfg.pool.resolve().clamp(1, total_pending.max(1));
+        sched.workers = threads;
         let sched = Mutex::new(sched);
-        let cv = Condvar::new();
+        let (work_cv, commit_cv) = (Condvar::new(), Condvar::new());
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|| worker(&sched, &cv, &specs, &tokens, writer, &run_point));
+                scope.spawn(|| worker(&sched, &work_cv, &commit_cv, &specs, &tokens, &run_point));
+            }
+            if let Some(w) = &writer {
+                commit_journal(&sched, &commit_cv, w);
             }
         });
 
         let sched = sched.into_inner().expect("scheduler lock never held across a panic");
-        if let Some(e) = sched.error {
-            return Err(JobError::Journal(e));
-        }
         // End-of-run WFQ fairness: each tenant's virtual-time lag behind the
         // fleet minimum. Final vtimes are a pure function of the dispatch
         // counts, so the gauge is deterministic for deterministic workloads.
@@ -1024,29 +1043,81 @@ struct Task {
     point: usize,
 }
 
+/// The group committer, run by the thread that called [`JobQueue::run`]
+/// while the workers evaluate: it takes every queued journal line and
+/// writes the batch outside the scheduler lock with one append, one flush
+/// and one fsync ([`CheckpointWriter::append_lines`]), until every worker
+/// has exited and nothing is left. Batches go out in queue order, so the
+/// file always holds a prefix of the line sequence a writer called at each
+/// transition would produce.
+fn commit_journal(sched: &Mutex<Sched>, commit_cv: &Condvar, writer: &CheckpointWriter) {
+    // A worker that unwinds with the lock held poisons it. The committer
+    // reads only `journal` and `workers`, each changed in one step, so it
+    // recovers the guard and drains until the exit guards have counted
+    // every worker out; the scope then re-raises the worker's panic.
+    let lock = || sched.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut batch = Vec::new();
+    loop {
+        let mut guard = lock();
+        loop {
+            let lines = guard.journal.as_mut().expect("the committer runs only with a journal");
+            if !lines.is_empty() {
+                std::mem::swap(lines, &mut batch);
+                break;
+            }
+            if guard.workers == 0 {
+                return;
+            }
+            guard = commit_cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(guard);
+        writer.append_lines(&batch);
+        batch.clear();
+    }
+}
+
+/// Counts a worker out of [`Sched::workers`] when it exits, by returning or
+/// by unwinding, and wakes the committer.
+struct WorkerExit<'a> {
+    sched: &'a Mutex<Sched>,
+    commit_cv: &'a Condvar,
+}
+
+impl Drop for WorkerExit<'_> {
+    fn drop(&mut self) {
+        self.sched.lock().unwrap_or_else(PoisonError::into_inner).workers -= 1;
+        self.commit_cv.notify_one();
+    }
+}
+
 /// One worker's loop: settle bookkeeping, pick the weighted-fair next
 /// point, evaluate it outside the lock, record it, repeat. The wait has a
 /// timeout so an externally flipped cancel token is noticed even when every
 /// worker is parked.
 fn worker<F>(
     sched: &Mutex<Sched>,
-    cv: &Condvar,
+    work_cv: &Condvar,
+    commit_cv: &Condvar,
     specs: &[JobSpec],
     tokens: &[CancelToken],
-    writer: Option<&CheckpointWriter>,
     run_point: &F,
 ) where
     F: Fn(&JobPoint<'_>) -> Result<PointRun<Json>, ScriptFaultInfo> + Sync,
 {
+    let _exit = WorkerExit { sched, commit_cv };
     let mut guard = sched.lock().expect("scheduler lock never held across a panic");
     loop {
-        settle(&mut guard, specs, tokens, writer);
+        settle(&mut guard, specs, tokens);
+        // Lines queued by `complete` or `settle` wait for the committer.
+        if guard.journal.as_ref().is_some_and(|lines| !lines.is_empty()) {
+            commit_cv.notify_one();
+        }
         if guard.all_done() {
-            cv.notify_all();
+            work_cv.notify_all();
             return;
         }
         let Some(task) = pick(&mut guard, specs) else {
-            let (g, _) = cv
+            let (g, _) = work_cv
                 .wait_timeout(guard, std::time::Duration::from_millis(10))
                 .expect("scheduler lock never held across a panic");
             guard = g;
@@ -1069,8 +1140,8 @@ fn worker<F>(
         let record = checkpoint::outcome_record(task.point, outcome);
 
         guard = sched.lock().expect("scheduler lock never held across a panic");
-        complete(&mut guard, specs, writer, task, record);
-        cv.notify_all();
+        complete(&mut guard, specs, task, record);
+        work_cv.notify_all();
     }
 }
 
@@ -1099,28 +1170,12 @@ fn pick(sched: &mut Sched, specs: &[JobSpec]) -> Option<Task> {
     Some(Task { job: j, point })
 }
 
-/// Folds a journal failure into the scheduler (first one wins; the run
-/// aborts and reports it).
-fn note_error(sched: &mut Sched, result: Result<(), CheckpointError>) {
-    if let Err(e) = result {
-        sched.error.get_or_insert(e);
-    }
-}
-
 /// Records a finished evaluation: journals it, fulfils the point's claim
 /// for parked duplicates (or promotes a duplicate if the result is
 /// poisoned and thus unshareable), and books the record.
-fn complete(
-    sched: &mut Sched,
-    specs: &[JobSpec],
-    writer: Option<&CheckpointWriter>,
-    task: Task,
-    record: CheckpointRecord,
-) {
+fn complete(sched: &mut Sched, specs: &[JobSpec], task: Task, record: CheckpointRecord) {
     let spec = &specs[task.job];
-    if let Some(w) = writer {
-        note_error(sched, w.record(&spec.job_id, spec.base_seed, &record));
-    }
+    sched.journal_record(spec, &record);
     if spec.budget.cacheable() {
         let (addr, _) = spec.cache_key(task.point);
         let owns = matches!(
@@ -1166,7 +1221,7 @@ fn promote_or_drop(sched: &mut Sched, addr: &str) {
 /// Scheduler bookkeeping, run under the lock at every boundary: sweep
 /// newly cancelled jobs, serve parked duplicates whose claims delivered,
 /// and finalize jobs with no work left.
-fn settle(sched: &mut Sched, specs: &[JobSpec], tokens: &[CancelToken], writer: Option<&CheckpointWriter>) {
+fn settle(sched: &mut Sched, specs: &[JobSpec], tokens: &[CancelToken]) {
     // 1. Cancellations: mark every not-yet-started point cancelled and hand
     //    orphaned claims to parked duplicates. In-flight points finish
     //    normally (cooperative contract).
@@ -1180,9 +1235,7 @@ fn settle(sched: &mut Sched, specs: &[JobSpec], tokens: &[CancelToken], writer: 
         telemetry::jobs_cancelled_points((pending.len() + parked.len()) as u64);
         for &idx in pending.iter().chain(parked.iter().map(|(idx, _)| idx)) {
             let rec = CheckpointRecord::cancelled(idx);
-            if let Some(w) = writer {
-                note_error(sched, w.record(&spec.job_id, spec.base_seed, &rec));
-            }
+            sched.journal_record(spec, &rec);
             sched.jobs[j].records.insert(idx, rec);
         }
         if spec.budget.cacheable() {
@@ -1209,9 +1262,7 @@ fn settle(sched: &mut Sched, specs: &[JobSpec], tokens: &[CancelToken], writer: 
                 Some(CacheEntry { state: ClaimState::Done(rec), .. }) => {
                     let mut copy = rec.clone();
                     copy.point = idx;
-                    if let Some(w) = writer {
-                        note_error(sched, w.record(&spec.job_id, spec.base_seed, &copy));
-                    }
+                    sched.journal_record(spec, &copy);
                     sched.jobs[j].records.insert(idx, copy);
                     sched.jobs[j].cached += 1;
                     telemetry::cache_hit();
@@ -1230,10 +1281,8 @@ fn settle(sched: &mut Sched, specs: &[JobSpec], tokens: &[CancelToken], writer: 
         }
         let status = job_status(&st.records);
         sched.jobs[j].done = true;
-        if let Some(w) = writer {
-            if !sched.jobs[j].had_terminal {
-                note_error(sched, w.append_json(&transition(spec, status.label())));
-            }
+        if !sched.jobs[j].had_terminal {
+            sched.journal_transition(spec, status.label());
         }
     }
 }
@@ -1296,14 +1345,47 @@ mod tests {
         let line = transition(&s, "admitted").to_compact_string();
         let path = std::env::temp_dir().join(format!("malsim-jobs-transition-{}.jnl", std::process::id()));
         std::fs::write(&path, format!("{line}\n")).unwrap();
-        let loaded = load_journal(&path, &REAL_FS).unwrap();
+        let loaded = load_journal(&path, &REAL_FS);
         assert_eq!(loaded.skipped, 0);
         assert_eq!(loaded.jobs["job-a"].identity.as_deref(), Some(s.identity_hash().as_str()));
         // A tampered status fails the self-hash and is counted, not trusted.
         std::fs::write(&path, format!("{}\n", line.replace("admitted", "cancelled"))).unwrap();
-        let loaded = load_journal(&path, &REAL_FS).unwrap();
+        let loaded = load_journal(&path, &REAL_FS);
         assert_eq!(loaded.skipped, 1);
         assert!(loaded.jobs.is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn the_committer_drains_in_order_until_every_worker_has_exited() {
+        use crate::chaosfs::{ChaosFs, FaultSchedule};
+        let path = std::env::temp_dir().join(format!("malsim-jobs-commit-{}.jnl", std::process::id()));
+        let chaos = ChaosFs::new(FaultSchedule::quiet(3));
+        let writer = CheckpointWriter::create_with(&path, &chaos);
+        let lines: Vec<String> = (0..5).map(|i| format!("{{\"line\":{i}}}")).collect();
+        let sched = Mutex::new(Sched { journal: Some(Vec::new()), workers: 1, ..Sched::default() });
+        let commit_cv = Condvar::new();
+        std::thread::scope(|scope| {
+            let committer = scope.spawn(|| commit_journal(&sched, &commit_cv, &writer));
+            let mut durable = 0;
+            for line in &lines {
+                sched.lock().unwrap().journal.as_mut().unwrap().push(line.clone());
+                commit_cv.notify_one();
+                // Wait until the line is fsynced, so the committer finds the
+                // queue empty while the worker still runs: it must wait for
+                // the next line, not return.
+                durable += line.len() as u64 + 1;
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while chaos.durable_len_at(&path, chaos.ops()) < durable {
+                    assert!(std::time::Instant::now() < deadline, "{line} was never committed");
+                    std::thread::yield_now();
+                }
+            }
+            drop(WorkerExit { sched: &sched, commit_cv: &commit_cv });
+            committer.join().unwrap();
+        });
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().collect::<Vec<_>>(), lines);
         std::fs::remove_file(&path).unwrap();
     }
 

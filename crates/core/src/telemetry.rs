@@ -26,10 +26,12 @@
 //!   written, fsync latency, and damaged lines skipped on resume.
 //! - **`core::chaosfs`** — storage faults injected by kind, transient I/O
 //!   retries burned by the checkpoint layer, journal quarantines, and jobs
-//!   whose persistence degraded under a fatal storage fault. Deterministic
-//!   for a fixed fault schedule at one worker thread; multi-threaded chaos
-//!   runs interleave the schedule nondeterministically, so armed chaos
-//!   workloads only byte-compare snapshots at `MALSIM_THREADS=1`.
+//!   whose persistence degraded under a fatal storage fault. A fault is
+//!   drawn per storage operation, so these counts repeat only when the
+//!   operation sequence does: for checkpointed sweeps at one worker thread,
+//!   but never for job journals, whose group commit splits lines into
+//!   batches by thread timing. Armed chaos workloads must not byte-compare
+//!   them.
 //!
 //! ## Determinism contract
 //!
@@ -730,7 +732,7 @@ fn collect() -> Vec<Metric> {
         ),
         Metric {
             name: "malsim_ckpt_fsync_micros",
-            help: "Latency of the per-line flush+fsync, in microseconds.",
+            help: "Latency of each checkpoint-line or job-journal-batch fsync, in microseconds.",
             kind: "histogram",
             deterministic: false,
             value: Value::Hist {

@@ -8,9 +8,10 @@
 //!   only crow's own points.
 //!
 //! A fourth submission over the queue's capacity is shed with a typed
-//! rejection. With `--journal`, every state transition is fsynced so a
-//! killed run resumed with `--resume` reproduces finished jobs'
-//! reports byte-identically without re-evaluating their points.
+//! rejection. With `--journal`, every state transition is journaled, and
+//! the lines are fsynced in batches as the run goes, so a killed run
+//! resumed with `--resume` reproduces finished jobs' reports
+//! byte-identically without re-evaluating their points.
 //!
 //! Usage: `cargo run --release --example job_queue [seed] [threads]
 //!   [--journal <path>] [--resume] [--out-dir <dir>]

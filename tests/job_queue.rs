@@ -4,6 +4,7 @@
 //! under cancellation, cross-tenant result-cache dedup, weighted-fair
 //! interleaving, and journal damage/identity handling.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -80,6 +81,30 @@ fn spec(job_id: &str, tenant: &str, grid: Vec<Json>) -> JobSpec {
     }
 }
 
+/// The journal's order invariant, which group commit must keep at any
+/// worker count: a job's admission line precedes its point lines, and its
+/// terminal line follows all of them.
+fn assert_transition_order(journal: &str) {
+    let (mut admitted, mut finished) = (BTreeSet::new(), BTreeSet::new());
+    for (i, line) in journal.lines().enumerate() {
+        let v = malsim::report::parse(line).expect("an undamaged journal parses line by line");
+        let text = |key: &str| v.get(key).and_then(Json::as_str).expect("journal lines carry ids").to_owned();
+        if v.get("kind").and_then(Json::as_str) == Some("transition") {
+            let (job, status) = (text("job_id"), text("status"));
+            if status == "admitted" {
+                admitted.insert(job);
+            } else {
+                assert!(admitted.contains(&job), "line {i}: {job} ends before its admission");
+                finished.insert(job);
+            }
+        } else {
+            let job = text("experiment");
+            assert!(admitted.contains(&job), "line {i}: a point of {job} precedes its admission");
+            assert!(!finished.contains(&job), "line {i}: a point of {job} follows its terminal line");
+        }
+    }
+}
+
 /// The acceptance scenario: four tenants — benign, cancelled mid-grid,
 /// poisoned with bounded retries, over-budget — plus a shed fifth; then a
 /// SIGKILL-style journal truncation and resume at 1/2/8 workers.
@@ -151,6 +176,7 @@ fn three_tenant_queue_with_kill_and_resume() {
     // SIGKILL drill: keep the journal only up to bolt's terminal line (all
     // of bolt's fate is durable; other jobs are mid-grid) and resume.
     let text = std::fs::read_to_string(&journal).unwrap();
+    assert_transition_order(&text);
     let cut = text
         .lines()
         .position(|l| {
@@ -450,14 +476,16 @@ fn disk_full_mid_journal_degrades_storage_but_completes() {
 
 /// Fsync failure mid-journal: the first failed fsync quarantines the writer
 /// (fsyncgate semantics — a failed fsync is never retried), the run keeps
-/// going without persistence, and a repaired journal resumes what was durable.
+/// going without persistence, and a repaired journal resumes what was
+/// written. Durable batches followed by a failed fsync are tested on the
+/// writer itself, in `checkpoint.rs`.
 #[test]
 fn fsync_failure_mid_journal_quarantines_then_repair_salvages_the_durable_prefix() {
-    use malsim::chaosfs::{ChaosFs, FaultSchedule};
+    use malsim::chaosfs::{ChaosFs, FaultSchedule, StorageOp};
     use std::sync::Arc;
 
-    // Fail every third fsync: some records land durably before quarantine.
-    let chaos = ChaosFs::new(FaultSchedule { fsync_fail_permille: 333, ..FaultSchedule::quiet(11) });
+    // Every fsync fails, so the first batch's fsync quarantines the writer.
+    let chaos = ChaosFs::new(FaultSchedule { fsync_fail_permille: 1000, ..FaultSchedule::quiet(11) });
     let journal = temp("fsync-fail");
     let cfg = QueueConfig {
         pool: PoolConfig::explicit(1),
@@ -471,8 +499,14 @@ fn fsync_failure_mid_journal_quarantines_then_repair_salvages_the_durable_prefix
     let original = run.outcomes[0].report().to_canonical_string();
     let fault = run.storage_degraded.as_ref().expect("a failed fsync must quarantine");
     assert_eq!(run.outcomes[0].status, JobStatus::Completed, "status stays a pure function of records");
+    assert_eq!(fault.op, StorageOp::Fsync, "{fault}");
     assert!(fault.to_string().contains("fsync"), "{fault}");
-    assert!(chaos.stats().injected.contains_key("fsync_fail"), "{:?}", chaos.stats().injected);
+    assert_eq!(
+        chaos.stats().injected.get("fsync_fail"),
+        Some(&1),
+        "one failed fsync quarantines, and it is never retried: {:?}",
+        chaos.stats().injected
+    );
 
     // The on-disk journal holds whatever prefix survived; repair compacts it
     // to self-hash-valid lines and the resume re-runs only what was lost.
