@@ -28,7 +28,7 @@
 //! (see [`chaosfs`](crate::chaosfs)), so checkpoint durability can be
 //! soak-tested under injected I/O faults. Transient errors (`EINTR`,
 //! timeouts) are retried with bounded backoff per [`IoRetryPolicy`]; fatal
-//! ones never fail the sweep. A fatal *read* degrades [`Manifest::load_with`]
+//! ones never fail the sweep. A fatal *read* degrades [`Manifest::load`]
 //! to an empty manifest carrying a typed [`Manifest::load_fault`] (the
 //! affected points re-run); a fatal *write or fsync* quarantines the
 //! [`CheckpointWriter`] — further appends become no-ops, the grid still
@@ -223,6 +223,24 @@ impl CheckpointRecord {
         ])
     }
 
+    /// The point's row in a sweep or job report: the record's durable fields
+    /// without its journal identity and hash, so a report reads the same
+    /// whether the point ran or was restored.
+    pub(crate) fn report_row(&self) -> Json {
+        Json::obj([
+            ("point", Json::U64(self.point as u64)),
+            ("status", self.status.label().into()),
+            ("truncation", self.truncation.clone().into()),
+            ("row", self.row.clone().unwrap_or(Json::Null)),
+            ("panic_msg", self.panic_msg.clone().into()),
+            ("params", self.params.clone().into()),
+            ("script_id", self.script_id.clone().into()),
+            ("script_error", self.script_error.clone().into()),
+            ("fuel_used", self.fuel_used.map_or(Json::Null, Json::U64)),
+            ("violations", Json::Arr(self.violations.iter().map(|v| v.as_str().into()).collect())),
+        ])
+    }
+
     /// Parses one checkpoint line. `Ok(None)` means the line is damaged or
     /// stale (skip and re-run the point); `Err` means it belongs to another
     /// sweep entirely.
@@ -328,20 +346,16 @@ pub(crate) fn read_with_retry(
 }
 
 impl Manifest {
-    /// Replays `path`. A missing file is an empty manifest (fresh start);
+    /// Replays `path` through `backend` ([`REAL_FS`] for the real
+    /// filesystem). A missing file is an empty manifest (fresh start);
     /// damaged lines are skipped and counted; a record from a different
     /// `(experiment, base_seed)` is a hard [`CheckpointError::WrongSweep`].
-    pub fn load(path: &Path, experiment: &str, base_seed: u64) -> Result<Manifest, CheckpointError> {
-        Manifest::load_with(path, &REAL_FS, experiment, base_seed)
-    }
-
-    /// Like [`Manifest::load`], through an explicit [`StorageBackend`].
     ///
     /// Transient read faults are retried with bounded backoff; a fatal one
     /// does **not** fail the resume — it degrades to an empty manifest with
     /// the typed reason in [`Manifest::load_fault`], so every point simply
     /// re-runs and the report still reproduces.
-    pub fn load_with(
+    pub fn load(
         path: &Path,
         backend: &dyn StorageBackend,
         experiment: &str,
@@ -481,32 +495,22 @@ fn write_durable_lines(
 }
 
 impl CheckpointWriter {
-    /// Creates (or truncates) the checkpoint file for a fresh sweep.
-    pub fn create(path: &Path) -> Result<CheckpointWriter, CheckpointError> {
-        Ok(CheckpointWriter::create_with(path, &REAL_FS))
+    /// Creates (or truncates) the checkpoint file for a fresh sweep, through
+    /// `backend` ([`REAL_FS`] for the real filesystem). Infallible: a fatal
+    /// open fault yields an already-quarantined writer (the sweep runs
+    /// without persistence) rather than an error.
+    pub fn create(path: &Path, backend: &dyn StorageBackend) -> CheckpointWriter {
+        CheckpointWriter::open(path, backend, false)
     }
 
     /// Opens the checkpoint file for appending (creating it if missing), for
-    /// a resumed sweep.
-    pub fn append(path: &Path) -> Result<CheckpointWriter, CheckpointError> {
-        Ok(CheckpointWriter::append_with(path, &REAL_FS))
+    /// a resumed sweep, with the same degrade-instead-of-fail contract as
+    /// [`CheckpointWriter::create`].
+    pub fn append(path: &Path, backend: &dyn StorageBackend) -> CheckpointWriter {
+        CheckpointWriter::open(path, backend, true)
     }
 
-    /// Like [`CheckpointWriter::create`], through an explicit backend.
-    /// Infallible: a fatal open fault yields an already-quarantined writer
-    /// (the sweep runs without persistence) rather than an error.
-    pub fn create_with(path: &Path, backend: &dyn StorageBackend) -> CheckpointWriter {
-        CheckpointWriter::open_with(path, backend, false)
-    }
-
-    /// Like [`CheckpointWriter::append`], through an explicit backend, with
-    /// the same degrade-instead-of-fail contract as
-    /// [`CheckpointWriter::create_with`].
-    pub fn append_with(path: &Path, backend: &dyn StorageBackend) -> CheckpointWriter {
-        CheckpointWriter::open_with(path, backend, true)
-    }
-
-    fn open_with(path: &Path, backend: &dyn StorageBackend, append: bool) -> CheckpointWriter {
+    fn open(path: &Path, backend: &dyn StorageBackend, append: bool) -> CheckpointWriter {
         let policy = IoRetryPolicy::default();
         let mut attempt = 0u32;
         let state = loop {
@@ -667,23 +671,15 @@ pub struct RepairSummary {
     pub bytes_after: u64,
 }
 
-/// Repairs and compacts a journal in place: keeps only self-hash-valid
-/// lines, collapses each logical slot (see [`journal_line_key`]) to its
-/// last valid line, and atomically renames the rewritten file over the
-/// original. Slot order follows first appearance, so admissions still
-/// precede their records.
+/// Repairs and compacts a journal in place, through `backend` ([`REAL_FS`]
+/// for the real filesystem): keeps only self-hash-valid lines, collapses
+/// each logical slot (see [`journal_line_key`]) to its last valid line, and
+/// atomically renames the rewritten file over the original. Slot order
+/// follows first appearance, so admissions still precede their records.
 ///
 /// Unlike the lenient loaders this returns real errors: a repair that
 /// cannot read, durably write, or rename has repaired nothing.
-pub fn repair_journal(path: &Path) -> Result<RepairSummary, CheckpointError> {
-    repair_journal_with(path, &REAL_FS)
-}
-
-/// Like [`repair_journal`], through an explicit [`StorageBackend`].
-pub fn repair_journal_with(
-    path: &Path,
-    backend: &dyn StorageBackend,
-) -> Result<RepairSummary, CheckpointError> {
+pub fn repair_journal(path: &Path, backend: &dyn StorageBackend) -> Result<RepairSummary, CheckpointError> {
     let text = match read_with_retry(path, backend) {
         Ok(Some(text)) => text,
         Ok(None) => {
@@ -778,25 +774,7 @@ impl SweepOutcomes {
     /// (no attempt counts, no resumed-from markers), so an interrupted-and-
     /// resumed sweep renders byte-identically to an uninterrupted one.
     pub fn report(&self) -> Json {
-        let rows = self
-            .points
-            .iter()
-            .map(|p| {
-                let r = &p.record;
-                Json::obj([
-                    ("point", Json::U64(r.point as u64)),
-                    ("status", r.status.label().into()),
-                    ("truncation", r.truncation.clone().into()),
-                    ("row", r.row.clone().unwrap_or(Json::Null)),
-                    ("panic_msg", r.panic_msg.clone().into()),
-                    ("params", r.params.clone().into()),
-                    ("script_id", r.script_id.clone().into()),
-                    ("script_error", r.script_error.clone().into()),
-                    ("fuel_used", r.fuel_used.map_or(Json::Null, Json::U64)),
-                    ("violations", Json::Arr(r.violations.iter().map(|v| v.as_str().into()).collect())),
-                ])
-            })
-            .collect();
+        let rows = self.points.iter().map(|p| p.record.report_row()).collect();
         Json::obj([
             ("experiment", self.experiment.into()),
             ("base_seed", Json::U64(self.base_seed)),
@@ -900,7 +878,7 @@ where
 {
     let backend: &dyn StorageBackend = cfg.backend.unwrap_or(&REAL_FS);
     let manifest = if cfg.resume {
-        Manifest::load_with(cfg.path, backend, cfg.experiment, cfg.base_seed)?
+        Manifest::load(cfg.path, backend, cfg.experiment, cfg.base_seed)?
     } else {
         Manifest::default()
     };
@@ -917,9 +895,9 @@ where
 
     let todo: Vec<(usize, &P)> = points.iter().enumerate().filter(|(i, _)| !slots.contains_key(i)).collect();
     let writer = if cfg.resume {
-        CheckpointWriter::append_with(cfg.path, backend)
+        CheckpointWriter::append(cfg.path, backend)
     } else {
-        CheckpointWriter::create_with(cfg.path, backend)
+        CheckpointWriter::create(cfg.path, backend)
     };
     let supervisor = cfg.supervisor;
     let fresh = sweep::run(cfg.experiment, cfg.base_seed, &todo, cfg.pool.resolve(), |_, &(orig, p)| {
@@ -965,7 +943,7 @@ mod tests {
     #[test]
     fn records_round_trip_through_the_file() {
         let path = temp_path("roundtrip");
-        let writer = CheckpointWriter::create(&path).unwrap();
+        let writer = CheckpointWriter::create(&path, &REAL_FS);
         let recs = [
             CheckpointRecord {
                 point: 0,
@@ -1019,7 +997,7 @@ mod tests {
         for rec in &recs {
             writer.record("test", 7, rec);
         }
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.skipped_lines, 0);
         assert_eq!(manifest.records.len(), 4);
         for rec in &recs {
@@ -1031,7 +1009,7 @@ mod tests {
     #[test]
     fn damaged_lines_are_skipped_and_last_record_wins() {
         let path = temp_path("damaged");
-        let writer = CheckpointWriter::create(&path).unwrap();
+        let writer = CheckpointWriter::create(&path, &REAL_FS);
         let mut rec = CheckpointRecord {
             point: 0,
             status: PointStatus::Completed,
@@ -1054,12 +1032,12 @@ mod tests {
         text.push_str("{\"experiment\":\"test\",\"base_se");
         std::fs::write(&path, &text).unwrap();
 
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.skipped_lines, 1, "the torn line");
         assert_eq!(manifest.records[&0].row, Some(row(5)), "last valid record wins");
 
         std::fs::write(&path, &tampered).unwrap();
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.skipped_lines, 1, "hash mismatch drops the record");
         assert_eq!(manifest.records[&0].row, Some(row(0)), "first record survives");
         std::fs::remove_file(&path).unwrap();
@@ -1068,7 +1046,7 @@ mod tests {
     #[test]
     fn truncation_mid_line_is_counted_and_prior_records_survive() {
         let path = temp_path("set-len");
-        let writer = CheckpointWriter::create(&path).unwrap();
+        let writer = CheckpointWriter::create(&path, &REAL_FS);
         for point in 0..3 {
             let rec = CheckpointRecord {
                 point,
@@ -1092,7 +1070,7 @@ mod tests {
         file.set_len(len - 20).unwrap();
         drop(file);
 
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.skipped_lines, 1, "the torn tail line is counted");
         assert_eq!(manifest.records.len(), 2, "fsynced predecessors survive intact");
         assert_eq!(manifest.records[&0].row, Some(row(0)));
@@ -1103,7 +1081,7 @@ mod tests {
     #[test]
     fn wrong_sweep_is_a_hard_error() {
         let path = temp_path("wrong");
-        let writer = CheckpointWriter::create(&path).unwrap();
+        let writer = CheckpointWriter::create(&path, &REAL_FS);
         let rec = CheckpointRecord {
             point: 0,
             status: PointStatus::Completed,
@@ -1117,17 +1095,18 @@ mod tests {
             violations: vec![],
         };
         writer.record("test", 7, &rec);
-        let err = Manifest::load(&path, "test", 8).unwrap_err();
+        let err = Manifest::load(&path, &REAL_FS, "test", 8).unwrap_err();
         assert!(matches!(err, CheckpointError::WrongSweep { .. }), "{err}");
         assert!(err.to_string().contains("different sweep"), "{err}");
-        let err = Manifest::load(&path, "other", 7).unwrap_err();
+        let err = Manifest::load(&path, &REAL_FS, "other", 7).unwrap_err();
         assert!(matches!(err, CheckpointError::WrongSweep { .. }), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_file_is_an_empty_manifest() {
-        let manifest = Manifest::load(Path::new("/nonexistent/never/sweep.ckpt"), "test", 7).unwrap();
+        let manifest =
+            Manifest::load(Path::new("/nonexistent/never/sweep.ckpt"), &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest, Manifest::default());
     }
 
@@ -1282,7 +1261,7 @@ mod tests {
     fn fatal_read_degrades_to_an_empty_manifest_with_a_typed_fault() {
         // Reading a directory as a file is a fatal (non-NotFound) error.
         let dir = std::env::temp_dir();
-        let manifest = Manifest::load(&dir, "test", 7).unwrap();
+        let manifest = Manifest::load(&dir, &REAL_FS, "test", 7).unwrap();
         assert!(manifest.records.is_empty());
         let fault = manifest.load_fault.expect("fatal read must surface a typed fault");
         assert_eq!(fault.op, StorageOp::Read);
@@ -1291,7 +1270,7 @@ mod tests {
 
     #[test]
     fn repairing_a_missing_journal_is_a_typed_io_error() {
-        let err = repair_journal(Path::new("/nonexistent/never/sweep.ckpt")).unwrap_err();
+        let err = repair_journal(Path::new("/nonexistent/never/sweep.ckpt"), &REAL_FS).unwrap_err();
         let CheckpointError::Io { kind, .. } = err else { panic!("expected Io, got {err}") };
         assert_eq!(kind, std::io::ErrorKind::NotFound);
     }
@@ -1302,7 +1281,7 @@ mod tests {
         let schedule = FaultSchedule { fsync_fail_permille: 1000, ..FaultSchedule::quiet(17) };
         let chaos = ChaosFs::new(schedule);
         let path = temp_path("fsync-quarantine");
-        let writer = CheckpointWriter::create_with(&path, &chaos);
+        let writer = CheckpointWriter::create(&path, &chaos);
         assert!(writer.quarantine().is_none(), "opening alone does not fsync");
         let rec = CheckpointRecord::cancelled(0);
         writer.record("test", 7, &rec);
@@ -1368,7 +1347,7 @@ mod tests {
         use crate::chaosfs::{ChaosFs, FaultSchedule};
         let chaos = ChaosFs::new(FaultSchedule::quiet(19));
         let path = temp_path("batch-fsync");
-        let writer = CheckpointWriter::create_with(&path, &SecondFsyncFails(chaos.clone()));
+        let writer = CheckpointWriter::create(&path, &SecondFsyncFails(chaos.clone()));
         let batch = |points: std::ops::Range<usize>| -> Vec<String> {
             points
                 .map(|point| {
@@ -1399,13 +1378,13 @@ mod tests {
         // A power cut now leaves the first batch; repair keeps exactly it.
         let crashed = temp_path("batch-fsync-crash");
         std::fs::write(&crashed, chaos.crash_image(&path, chaos.ops(), false).unwrap()).unwrap();
-        let summary = repair_journal(&crashed).unwrap();
+        let summary = repair_journal(&crashed, &REAL_FS).unwrap();
         assert_eq!((summary.kept, summary.dropped), (3, 0));
         assert_eq!(std::fs::read_to_string(&crashed).unwrap().lines().collect::<Vec<_>>(), first);
         // With a torn tail the cut may also keep some unsynced lines, but
         // only a prefix of the failed batch, after the durable one.
         std::fs::write(&crashed, chaos.crash_image(&path, chaos.ops(), true).unwrap()).unwrap();
-        repair_journal(&crashed).unwrap();
+        repair_journal(&crashed, &REAL_FS).unwrap();
         let repaired = std::fs::read_to_string(&crashed).unwrap();
         let repaired: Vec<&str> = repaired.lines().collect();
         assert_eq!(repaired[..3], first[..]);
@@ -1469,7 +1448,7 @@ mod tests {
         };
         let chaos = ChaosFs::new(schedule);
         let path = temp_path("transient");
-        let writer = CheckpointWriter::create_with(&path, &chaos);
+        let writer = CheckpointWriter::create(&path, &chaos);
         for point in 0..40 {
             let rec = CheckpointRecord {
                 point,
@@ -1487,7 +1466,7 @@ mod tests {
         }
         assert!(writer.quarantine().is_none(), "transients alone never quarantine");
         assert!(!chaos.stats().injected.is_empty(), "this schedule injects within 40 records");
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.records.len(), 40, "every record survives the chaos");
         for point in 0..40 {
             assert_eq!(manifest.records[&point].row, Some(row(point)));
@@ -1498,7 +1477,7 @@ mod tests {
     #[test]
     fn repair_keeps_the_last_valid_line_per_slot_and_drops_damage() {
         let path = temp_path("repair");
-        let writer = CheckpointWriter::create(&path).unwrap();
+        let writer = CheckpointWriter::create(&path, &REAL_FS);
         let mut rec = CheckpointRecord {
             point: 0,
             status: PointStatus::Completed,
@@ -1525,7 +1504,7 @@ mod tests {
         text.push_str("{\"experiment\":\"test\",\"base_se");
         std::fs::write(&path, &text).unwrap();
 
-        let summary = repair_journal(&path).unwrap();
+        let summary = repair_journal(&path, &REAL_FS).unwrap();
         assert_eq!(summary.lines_seen, 5);
         assert_eq!(summary.kept, 2, "one line per point slot");
         assert_eq!(summary.dropped, 3, "superseded + tampered + torn");
@@ -1533,7 +1512,7 @@ mod tests {
 
         let repaired = std::fs::read_to_string(&path).unwrap();
         assert_eq!(repaired.lines().count(), 2);
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.skipped_lines, 0, "a repaired journal is fully valid");
         assert_eq!(manifest.records[&0].row, Some(row(5)), "last valid line won");
         assert_eq!(manifest.records[&1].row, Some(row(1)), "tampered duplicate lost");

@@ -1,12 +1,19 @@
 //! The experiment harness: one function per experiment in DESIGN.md's index
-//! (E1–E13). Examples and benches call these and print the returned rows.
+//! (E1–E13). Examples, tests and `bench_sweep` call these and print the
+//! returned rows.
 //!
 //! Every grid-shaped experiment runs its points through the deterministic
-//! parallel [`crate::sweep`] runner: the plain entry points size the worker
-//! pool from the environment ([`crate::sweep::threads_from_env`]), and the
-//! `_t`-suffixed variants take an explicit thread count. Output is
-//! byte-identical at every thread count (asserted by
-//! `tests/sweep_parallel.rs`).
+//! parallel [`crate::sweep`] runner and takes its worker count as its last
+//! argument; pass [`crate::sweep::threads_from_env`] to honour
+//! `MALSIM_THREADS`. Output is byte-identical at every thread count
+//! (asserted by `tests/sweep_parallel.rs`).
+//!
+//! E1 and E9 return the post-run world and scheduler (`.result` is the
+//! headline row), and E13 has a profiled and a supervised form beside the
+//! plain one. Three names keep their historical suffixes because the
+//! layered benchmark (`perfbench/`) and its README call them by name:
+//! [`e1_stuxnet_end_to_end_run`], [`e9_shamoon_wipe_run`] and
+//! [`e13_takedown_resilience_profiled_t`].
 //!
 //! [`golden_specs`] is the regression registry: each experiment at its
 //! documented EXPERIMENTS.md scale, serialized to canonical JSON and checked
@@ -31,8 +38,8 @@ use crate::scenario::ScenarioBuilder;
 use crate::sweep;
 use crate::sweep::Truncation;
 
-/// The default parameter grids, shared by the golden registry, the benches,
-/// and the example binaries so they all regenerate the same tables.
+/// The default parameter grids, shared by the golden registry, the example
+/// binaries and the tests so they all regenerate the same tables.
 pub mod grids {
     /// E2: fraction of the fleet patched against MS10-046/061.
     pub const E2_PATCH_RATES: &[f64] = &[0.0, 0.25, 0.5, 0.75, 1.0];
@@ -67,7 +74,7 @@ pub struct E1Result {
 
 /// E1 with the post-run world and scheduler retained, so callers can export
 /// the trace/span logs, reconstruct causal chains, or read the profiling
-/// summary. [`e1_stuxnet_end_to_end`] is the headline-only view of this.
+/// summary. `result` is the headline row.
 #[derive(Debug)]
 pub struct E1Run {
     /// The headline result row.
@@ -81,14 +88,10 @@ pub struct E1Run {
     pub sim: WorldSim,
 }
 
-/// Runs E1. `seed` controls all randomness; `days` bounds the run.
-pub fn e1_stuxnet_end_to_end(seed: u64, days: u64) -> E1Result {
-    e1_stuxnet_end_to_end_run(seed, days, false).result
-}
-
-/// Runs E1 and keeps the world and scheduler. `profile` turns on the
-/// scheduler's dispatch profiler (host-clock timings never affect sim
-/// behavior, so the headline row is identical either way).
+/// Runs E1 and keeps the world and scheduler. `seed` controls all
+/// randomness; `days` bounds the run. `profile` turns on the scheduler's
+/// dispatch profiler (host-clock timings never affect sim behavior, so the
+/// headline row is identical either way).
 pub fn e1_stuxnet_end_to_end_run(seed: u64, days: u64, profile: bool) -> E1Run {
     e1_stuxnet_end_to_end_checked(seed, days, profile, false).0
 }
@@ -156,14 +159,10 @@ pub struct E2Row {
     pub infected_fraction: f64,
 }
 
-/// Runs E2 across `patch_rates` on a LAN of `n` hosts for `days`.
-pub fn e2_zero_day_ablation(seed: u64, n: usize, days: u64, patch_rates: &[f64]) -> Vec<E2Row> {
-    e2_zero_day_ablation_t(seed, n, days, patch_rates, sweep::threads_from_env())
-}
-
-/// E2 with an explicit worker count. Each patch rate is an independent sweep
-/// point seeded from its derived `(e2, point, seed)` stream.
-pub fn e2_zero_day_ablation_t(
+/// Runs E2 across `patch_rates` on a LAN of `n` hosts for `days`. Each patch
+/// rate is an independent sweep point seeded from its derived
+/// `(e2, point, seed)` stream.
+pub fn e2_zero_day_ablation(
     seed: u64,
     n: usize,
     days: u64,
@@ -201,15 +200,10 @@ pub struct E3Row {
     pub destroyed: usize,
 }
 
-/// Runs E3: the same infection against targeted and non-targeted plants.
-pub fn e3_plc_targeting(seed: u64, days: u64) -> Vec<E3Row> {
-    e3_plc_targeting_t(seed, days, sweep::threads_from_env())
-}
-
-/// E3 with an explicit worker count. The two arms form a paired ablation —
-/// both seed from the base seed so they differ only in the PLC
-/// configuration.
-pub fn e3_plc_targeting_t(seed: u64, days: u64, threads: usize) -> Vec<E3Row> {
+/// Runs E3: the same infection against targeted and non-targeted plants. The
+/// two arms form a paired ablation — both seed from the base seed so they
+/// differ only in the PLC configuration.
+pub fn e3_plc_targeting(seed: u64, days: u64, threads: usize) -> Vec<E3Row> {
     let arms = [("profibus + targeted vendors", true), ("wrong bus / vendors", false)];
     sweep::run("e3", seed, &arms, threads, |ctx, &(label, targeted)| {
         let (mut world, mut sim) = ScenarioBuilder::new(ctx.base_seed).office_lan(0);
@@ -275,14 +269,10 @@ pub struct E4Row {
     pub infected_fraction: f64,
 }
 
-/// Runs E4 for each LAN size, with and without the MITM.
-pub fn e4_wpad_mitm(seed: u64, lan_sizes: &[usize], hours: u64) -> Vec<E4Row> {
-    e4_wpad_mitm_t(seed, lan_sizes, hours, sweep::threads_from_env())
-}
-
-/// E4 with an explicit worker count; the grid is the cross product of LAN
-/// size × MITM arm, each point an independent derived-seed run.
-pub fn e4_wpad_mitm_t(seed: u64, lan_sizes: &[usize], hours: u64, threads: usize) -> Vec<E4Row> {
+/// Runs E4 for each LAN size, with and without the MITM. The grid is the
+/// cross product of LAN size × MITM arm, each point an independent
+/// derived-seed run.
+pub fn e4_wpad_mitm(seed: u64, lan_sizes: &[usize], hours: u64, threads: usize) -> Vec<E4Row> {
     let points: Vec<(usize, bool)> = lan_sizes.iter().flat_map(|&n| [(n, false), (n, true)]).collect();
     sweep::run("e4", seed, &points, threads, |ctx, &(n, mitm)| {
         let (mut world, mut sim) = ScenarioBuilder::new(ctx.derived_seed()).without_trace().office_lan(n);
@@ -396,14 +386,9 @@ pub struct E6Row {
     pub reachable_single: f64,
 }
 
-/// Runs E6: `clients` clients, sweeping takedown fractions.
-pub fn e6_candc_resilience(seed: u64, clients: usize, fractions: &[f64]) -> Vec<E6Row> {
-    e6_candc_resilience_t(seed, clients, fractions, sweep::threads_from_env())
-}
-
-/// E6 with an explicit worker count; each takedown fraction is an
-/// independent derived-seed point.
-pub fn e6_candc_resilience_t(seed: u64, clients: usize, fractions: &[f64], threads: usize) -> Vec<E6Row> {
+/// Runs E6: `clients` clients, sweeping takedown fractions. Each fraction is
+/// an independent derived-seed point.
+pub fn e6_candc_resilience(seed: u64, clients: usize, fractions: &[f64], threads: usize) -> Vec<E6Row> {
     sweep::run("e6", seed, fractions, threads, |ctx, &frac| {
         let (mut world, mut sim) =
             ScenarioBuilder::new(ctx.derived_seed()).without_trace().office_lan(clients);
@@ -511,15 +496,10 @@ pub struct E8Row {
     pub juicy_bytes: u64,
 }
 
-/// Runs E8: metadata-first triage vs upload-everything.
-pub fn e8_exfil_ablation(seed: u64, clients: usize, days: u64) -> Vec<E8Row> {
-    e8_exfil_ablation_t(seed, clients, days, sweep::threads_from_env())
-}
-
-/// E8 with an explicit worker count. A paired ablation: both arms seed from
-/// the base seed so they share the corpus and differ only in the JIMMY
-/// triage logic.
-pub fn e8_exfil_ablation_t(seed: u64, clients: usize, days: u64, threads: usize) -> Vec<E8Row> {
+/// Runs E8: metadata-first triage vs upload-everything. A paired ablation:
+/// both arms seed from the base seed so they share the corpus and differ
+/// only in the JIMMY triage logic.
+pub fn e8_exfil_ablation(seed: u64, clients: usize, days: u64, threads: usize) -> Vec<E8Row> {
     let arms = [("metadata-first triage", false), ("upload everything", true)];
     sweep::run("e8", seed, &arms, threads, |ctx, &(label, upload_everything)| {
         let (mut world, mut sim) = ScenarioBuilder::new(ctx.base_seed).without_trace().office_lan(clients);
@@ -582,7 +562,8 @@ pub struct E9Result {
 }
 
 /// E9 with the post-run world and scheduler retained (the E9 counterpart
-/// of [`E1Run`]), so callers can read event counts, metrics, or traces.
+/// of [`E1Run`]), so callers can read event counts, metrics, or traces;
+/// `result` is the headline row.
 #[derive(Debug)]
 pub struct E9Run {
     /// The headline result row.
@@ -594,13 +575,9 @@ pub struct E9Run {
     pub sim: WorldSim,
 }
 
-/// Runs E9: `zones` sites of `hosts_per_zone` hosts; seeding `seeds` zones
-/// a few days before the hard-coded trigger.
-pub fn e9_shamoon_wipe(seed: u64, zones: usize, hosts_per_zone: usize, seeded_zones: usize) -> E9Result {
-    e9_shamoon_wipe_run(seed, zones, hosts_per_zone, seeded_zones).result
-}
-
-/// Runs E9 and keeps the world and scheduler (see [`E9Run`]).
+/// Runs E9: `zones` sites of `hosts_per_zone` hosts, seeding `seeded_zones`
+/// zones a few days before the hard-coded trigger, and keeps the world and
+/// scheduler (see [`E9Run`]).
 pub fn e9_shamoon_wipe_run(seed: u64, zones: usize, hosts_per_zone: usize, seeded_zones: usize) -> E9Run {
     let mut builder = ScenarioBuilder::new(seed);
     builder.start(SimTime::from_utc(2012, 8, 13, 6, 0, 0)).without_trace();
@@ -682,14 +659,9 @@ pub struct E11Row {
 }
 
 /// Runs E11: sweeps an abstract aggressiveness parameter; each action spends
-/// behaviour-budget points on the host AV.
-pub fn e11_stealth_tradeoff(seed: u64, lan: usize, levels: &[f64]) -> Vec<E11Row> {
-    e11_stealth_tradeoff_t(seed, lan, levels, sweep::threads_from_env())
-}
-
-/// E11 with an explicit worker count; each action rate is an independent
-/// derived-seed point.
-pub fn e11_stealth_tradeoff_t(seed: u64, lan: usize, levels: &[f64], threads: usize) -> Vec<E11Row> {
+/// behaviour-budget points on the host AV. Each action rate is an
+/// independent derived-seed point.
+pub fn e11_stealth_tradeoff(seed: u64, lan: usize, levels: &[f64], threads: usize) -> Vec<E11Row> {
     sweep::run("e11", seed, levels, threads, |ctx, &level| {
         let (mut world, mut sim) = ScenarioBuilder::new(ctx.derived_seed()).without_trace().office_lan(lan);
         // Budget: 20 points per daily scan interval. Twelve 2-hour rounds a
@@ -735,14 +707,10 @@ pub struct E12Row {
     pub server_logs_remaining: usize,
 }
 
-/// Runs E12: forensic sweep before vs after the fleet-wide SUICIDE.
-pub fn e12_suicide_forensics(seed: u64, lan: usize) -> Vec<E12Row> {
-    e12_suicide_forensics_t(seed, lan, sweep::threads_from_env())
-}
-
-/// E12 with an explicit worker count. A paired ablation: both arms seed from
-/// the base seed and differ only in whether SUICIDE is broadcast.
-pub fn e12_suicide_forensics_t(seed: u64, lan: usize, threads: usize) -> Vec<E12Row> {
+/// Runs E12: forensic sweep before vs after the fleet-wide SUICIDE. A paired
+/// ablation: both arms seed from the base seed and differ only in whether
+/// SUICIDE is broadcast.
+pub fn e12_suicide_forensics(seed: u64, lan: usize, threads: usize) -> Vec<E12Row> {
     use malsim_defense::forensics::{analyze_host, Indicator};
     let arms = [("before suicide", false), ("after suicide", true)];
     sweep::run("e12", seed, &arms, threads, |ctx, &(label, kill)| {
@@ -804,28 +772,25 @@ pub struct E13Row {
 /// figure degrading monotonically on the direct path as servers fall, while
 /// the hidden-database ferry recovers blocked clients' documents for every
 /// fraction below 1.0 — at full takedown the documents strand on the stick.
-pub fn e13_takedown_resilience(seed: u64, clients: usize, days: u64, fractions: &[f64]) -> Vec<E13Row> {
-    e13_takedown_resilience_t(seed, clients, days, fractions, sweep::threads_from_env())
-}
-
-/// E13 with an explicit worker count.
 ///
 /// A *paired* sweep: every fraction seeds from the base seed, so all points
 /// share identical corpora and domain configs and the seized servers form a
 /// nested prefix — which is what makes the direct-bytes column monotone by
 /// construction rather than statistically.
-pub fn e13_takedown_resilience_t(
+pub fn e13_takedown_resilience(
     seed: u64,
     clients: usize,
     days: u64,
     fractions: &[f64],
     threads: usize,
 ) -> Vec<E13Row> {
-    sweep::run("e13", seed, fractions, threads, |ctx, &frac| e13_point(ctx, frac, clients, days, false).0)
+    sweep::run("e13", seed, fractions, threads, |ctx, &frac| {
+        e13_point_opt(ctx, frac, clients, days, E13PointOptions::default()).0
+    })
 }
 
 /// E13 with the scheduler profiler enabled on every point. Returns the rows
-/// (identical to [`e13_takedown_resilience_t`] — profiling never changes sim
+/// (identical to [`e13_takedown_resilience`] — profiling never changes sim
 /// behavior) plus one [`ProfileSummary`] per grid point, in point order.
 /// Roll them up with [`sweep::profile_rollup`].
 pub fn e13_takedown_resilience_profiled_t(
@@ -836,7 +801,8 @@ pub fn e13_takedown_resilience_profiled_t(
     threads: usize,
 ) -> (Vec<E13Row>, Vec<ProfileSummary>) {
     sweep::run("e13", seed, fractions, threads, |ctx, &frac| {
-        let (row, profile) = e13_point(ctx, frac, clients, days, true);
+        let opts = E13PointOptions { profile: true, ..Default::default() };
+        let (row, profile, _, _) = e13_point_opt(ctx, frac, clients, days, opts);
         (row, profile.expect("profiling was enabled"))
     })
     .into_iter()
@@ -900,18 +866,6 @@ struct E13PointOptions {
 
 /// One E13 sweep point. Factored out so the plain, profiled, and supervised
 /// sweeps run the exact same simulation.
-fn e13_point(
-    ctx: &sweep::SweepCtx,
-    frac: f64,
-    clients: usize,
-    days: u64,
-    profile: bool,
-) -> (E13Row, Option<ProfileSummary>) {
-    let (row, summary, _, _) =
-        e13_point_opt(ctx, frac, clients, days, E13PointOptions { profile, ..Default::default() });
-    (row, summary)
-}
-
 fn e13_point_opt(
     ctx: &sweep::SweepCtx,
     frac: f64,
@@ -1005,11 +959,7 @@ fn e13_point_opt(
             stick_backlog: world.usb_drives[usb].hidden_records().len(),
         };
         let violations = sim.take_violations();
-        let profile = sim.finish_profile();
-        if let Some(summary) = &profile {
-            crate::telemetry::record_profile(summary);
-        }
-        (row, profile, Truncation::from_stop(watched.reason), violations)
+        (row, sim.finish_profile(), Truncation::from_stop(watched.reason), violations)
     }
 }
 
@@ -1192,43 +1142,43 @@ impl GoldenSpec {
 }
 
 fn golden_e1(_threads: usize) -> Json {
-    e1_stuxnet_end_to_end(42, 30).to_json()
+    e1_stuxnet_end_to_end_run(42, 30, false).result.to_json()
 }
 fn golden_e2(threads: usize) -> Json {
-    rows_json(&e2_zero_day_ablation_t(42, 50, 5, grids::E2_PATCH_RATES, threads), E2Row::to_json)
+    rows_json(&e2_zero_day_ablation(42, 50, 5, grids::E2_PATCH_RATES, threads), E2Row::to_json)
 }
 fn golden_e3(threads: usize) -> Json {
-    rows_json(&e3_plc_targeting_t(42, 10, threads), E3Row::to_json)
+    rows_json(&e3_plc_targeting(42, 10, threads), E3Row::to_json)
 }
 fn golden_e4(threads: usize) -> Json {
-    rows_json(&e4_wpad_mitm_t(42, grids::E4_LAN_SIZES, 72, threads), E4Row::to_json)
+    rows_json(&e4_wpad_mitm(42, grids::E4_LAN_SIZES, 72, threads), E4Row::to_json)
 }
 fn golden_e5(_threads: usize) -> Json {
     rows_json(&e5_cert_forgery(42), E5Row::to_json)
 }
 fn golden_e6(threads: usize) -> Json {
-    rows_json(&e6_candc_resilience_t(42, 30, grids::E6_TAKEDOWNS, threads), E6Row::to_json)
+    rows_json(&e6_candc_resilience(42, 30, grids::E6_TAKEDOWNS, threads), E6Row::to_json)
 }
 fn golden_e7(_threads: usize) -> Json {
     e7_candc_dataflow(42, 20, 4, 7).to_json()
 }
 fn golden_e8(threads: usize) -> Json {
-    rows_json(&e8_exfil_ablation_t(42, 6, 4, threads), E8Row::to_json)
+    rows_json(&e8_exfil_ablation(42, 6, 4, threads), E8Row::to_json)
 }
 fn golden_e9(_threads: usize) -> Json {
-    e9_shamoon_wipe(815, 10, 49, 5).to_json()
+    e9_shamoon_wipe_run(815, 10, 49, 5).result.to_json()
 }
 fn golden_e10(_threads: usize) -> Json {
     rows_json(&e10_trend_matrix(5), trend_profile_to_json)
 }
 fn golden_e11(threads: usize) -> Json {
-    rows_json(&e11_stealth_tradeoff_t(5, 20, grids::E11_ACTION_RATES, threads), E11Row::to_json)
+    rows_json(&e11_stealth_tradeoff(5, 20, grids::E11_ACTION_RATES, threads), E11Row::to_json)
 }
 fn golden_e12(threads: usize) -> Json {
-    rows_json(&e12_suicide_forensics_t(5, 8, threads), E12Row::to_json)
+    rows_json(&e12_suicide_forensics(5, 8, threads), E12Row::to_json)
 }
 fn golden_e13(threads: usize) -> Json {
-    rows_json(&e13_takedown_resilience_t(11, 10, 7, grids::E13_SINKHOLE_FRACTIONS, threads), E13Row::to_json)
+    rows_json(&e13_takedown_resilience(11, 10, 7, grids::E13_SINKHOLE_FRACTIONS, threads), E13Row::to_json)
 }
 fn golden_perfetto(_threads: usize) -> Json {
     // A small E1 run exported as a Chrome trace: pins the export schema and

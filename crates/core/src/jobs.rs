@@ -45,6 +45,10 @@
 //! journal and reproduces every finished job's report byte-identically
 //! without re-evaluating its points; a changed resubmission is rejected
 //! with [`RejectReason::JournalMismatch`] rather than silently spliced.
+//! Records are restored only for a job whose admission line survived, since
+//! that line carries the identity a resubmission is checked against: a job
+//! whose admission line was torn or damaged re-runs every point and
+//! journals its admission again.
 //!
 //! The journal rides through a [`StorageBackend`]
 //! (see [`chaosfs`](crate::chaosfs)): transient I/O faults are retried with
@@ -145,11 +149,6 @@ impl JobBudget {
             stagger_ms: self.stagger_ms,
             retry_backoff_ms: self.retry_backoff_ms,
         }
-    }
-
-    /// The per-point watchdog this budget implies.
-    pub fn watchdog(&self) -> Watchdog {
-        self.supervisor().watchdog()
     }
 
     /// Whether points under this budget are deterministic enough to share
@@ -475,24 +474,7 @@ impl JobOutcome {
     /// cache-served job renders byte-identically to a solo uninterrupted
     /// run.
     pub fn report(&self) -> Json {
-        let rows = self
-            .points
-            .iter()
-            .map(|r| {
-                Json::obj([
-                    ("point", Json::U64(r.point as u64)),
-                    ("status", r.status.label().into()),
-                    ("truncation", r.truncation.clone().into()),
-                    ("row", r.row.clone().unwrap_or(Json::Null)),
-                    ("panic_msg", r.panic_msg.clone().into()),
-                    ("params", r.params.clone().into()),
-                    ("script_id", r.script_id.clone().into()),
-                    ("script_error", r.script_error.clone().into()),
-                    ("fuel_used", r.fuel_used.map_or(Json::Null, Json::U64)),
-                    ("violations", Json::Arr(r.violations.iter().map(|v| v.as_str().into()).collect())),
-                ])
-            })
-            .collect();
+        let rows = self.points.iter().map(CheckpointRecord::report_row).collect();
         Json::obj([
             ("job_id", self.job_id.as_str().into()),
             ("tenant", self.tenant.as_str().into()),
@@ -889,9 +871,9 @@ impl JobQueue {
         let backend: &dyn StorageBackend = cfg.storage.as_deref().unwrap_or(&REAL_FS);
         let writer = cfg.journal.as_ref().map(|path| {
             if cfg.resume {
-                CheckpointWriter::append_with(path, backend)
+                CheckpointWriter::append(path, backend)
             } else {
-                CheckpointWriter::create_with(path, backend)
+                CheckpointWriter::create(path, backend)
             }
         });
 
@@ -900,10 +882,13 @@ impl JobQueue {
         // claim (owner → pending, duplicate → parked/served) or, for
         // uncacheable jobs, straight to pending. Claims are made in
         // submission order, so the designated evaluator is deterministic.
+        // Only a job whose admission line survived has had its identity
+        // checked by `submit`; any other journal entry may belong to a
+        // different spec, so the job starts afresh.
         let mut sched = Sched { journal: writer.as_ref().map(|_| Vec::new()), ..Sched::default() };
         for (j, spec) in specs.iter().enumerate() {
             let mut st = JobState::default();
-            if let Some(entry) = journal_jobs.get(&spec.job_id) {
+            if let Some(entry) = journal_jobs.get(&spec.job_id).filter(|e| e.identity.is_some()) {
                 st.had_terminal = entry.terminal.is_some();
                 for (&idx, rec) in &entry.records {
                     if idx >= spec.grid.len() {
@@ -1361,7 +1346,7 @@ mod tests {
         use crate::chaosfs::{ChaosFs, FaultSchedule};
         let path = std::env::temp_dir().join(format!("malsim-jobs-commit-{}.jnl", std::process::id()));
         let chaos = ChaosFs::new(FaultSchedule::quiet(3));
-        let writer = CheckpointWriter::create_with(&path, &chaos);
+        let writer = CheckpointWriter::create(&path, &chaos);
         let lines: Vec<String> = (0..5).map(|i| format!("{{\"line\":{i}}}")).collect();
         let sched = Mutex::new(Sched { journal: Some(Vec::new()), workers: 1, ..Sched::default() });
         let commit_cv = Condvar::new();

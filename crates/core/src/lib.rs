@@ -34,7 +34,7 @@
 //! use malsim::prelude::*;
 //!
 //! // Reproduce the paper's Figure 1 chain in a few lines:
-//! let result = experiments::e1_stuxnet_end_to_end(42, 30);
+//! let result = experiments::e1_stuxnet_end_to_end_run(42, 30, false).result;
 //! assert!(result.plc_implanted);
 //! assert!(result.destroyed > 0);
 //! assert!(!result.safety_tripped, "the rootkit blinds the safety system");

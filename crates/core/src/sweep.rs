@@ -453,37 +453,19 @@ pub struct ProfileRollup {
     pub rows: Vec<RollupRow>,
     /// Number of grid points rolled up.
     pub points: usize,
-    /// Points excluded because they produced no profile (poisoned, or
-    /// truncated before [`finish_profile`](malsim_kernel::sched::Sim::finish_profile)).
-    /// They are *counted*, never folded in as zeros, so min/median/max reflect
-    /// only real measurements.
-    pub omitted_points: usize,
 }
 
 /// Builds the [`ProfileRollup`] for a sweep's per-point profiling summaries
-/// (as returned by the `_profiled_t` experiment variants).
+/// (as returned by
+/// [`e13_takedown_resilience_profiled_t`](crate::experiments::e13_takedown_resilience_profiled_t)).
 pub fn profile_rollup(summaries: &[ProfileSummary]) -> ProfileRollup {
-    rollup_inner(summaries.iter().collect(), 0)
-}
-
-/// [`profile_rollup`] over a supervised grid where some points may have no
-/// summary: `None` entries (failed, poisoned, or truncated points) are
-/// skipped and tallied in [`ProfileRollup::omitted_points`] rather than
-/// skewing every category's min toward zero.
-pub fn profile_rollup_partial(summaries: &[Option<ProfileSummary>]) -> ProfileRollup {
-    let present: Vec<&ProfileSummary> = summaries.iter().flatten().collect();
-    let omitted = summaries.len() - present.len();
-    rollup_inner(present, omitted)
-}
-
-fn rollup_inner(summaries: Vec<&ProfileSummary>, omitted_points: usize) -> ProfileRollup {
     let mut per_cat: BTreeMap<&str, (Vec<u64>, Vec<f64>)> = BTreeMap::new();
-    for summary in &summaries {
+    for summary in summaries {
         for row in &summary.rows {
             per_cat.entry(&row.category).or_default();
         }
     }
-    for summary in &summaries {
+    for summary in summaries {
         for (cat, (events, host_ms)) in per_cat.iter_mut() {
             let row = summary.rows.iter().find(|r| r.category == *cat);
             events.push(row.map_or(0, |r| r.events));
@@ -502,7 +484,7 @@ fn rollup_inner(summaries: Vec<&ProfileSummary>, omitted_points: usize) -> Profi
             }
         })
         .collect();
-    ProfileRollup { rows, points: summaries.len(), omitted_points }
+    ProfileRollup { rows, points: summaries.len() }
 }
 
 /// Nearest-rank median of a sorted non-empty slice (same convention as
@@ -517,10 +499,6 @@ impl ProfileRollup {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "scheduler profile across {} sweep points (min / median / max):", self.points);
-        if self.omitted_points > 0 {
-            let _ =
-                writeln!(out, "({} point(s) without a profile omitted from the stats)", self.omitted_points);
-        }
         let width = self.rows.iter().map(|r| r.category.len()).max().unwrap_or(8).max(8);
         let _ = writeln!(out, "{:width$}  {:>27}  {:>30}", "category", "events", "host ms");
         for row in &self.rows {
@@ -626,24 +604,10 @@ mod tests {
     }
 
     #[test]
-    fn rollup_partial_counts_omissions_instead_of_zero_filling() {
-        let grid = [Some(summary(&[("net", 10, 1.0)])), None, Some(summary(&[("net", 30, 3.0)])), None];
-        let rollup = profile_rollup_partial(&grid);
-        assert_eq!(rollup.points, 2);
-        assert_eq!(rollup.omitted_points, 2);
-        // The min is a real measurement, not a zero injected by a dead point
-        // (the median of an even count takes the upper of the two middles).
-        assert_eq!(rollup.rows[0].events, (10, 30, 30));
-        let table = rollup.render();
-        assert!(table.contains("2 point(s) without a profile"), "{table}");
-    }
-
-    #[test]
     fn rollup_of_nothing_is_empty_not_a_panic() {
-        let rollup = profile_rollup_partial(&[None, None]);
+        let rollup = profile_rollup(&[]);
         assert!(rollup.rows.is_empty());
         assert_eq!(rollup.points, 0);
-        assert_eq!(rollup.omitted_points, 2);
     }
 
     #[test]

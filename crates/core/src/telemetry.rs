@@ -3,13 +3,12 @@
 //!
 //! The registry is a fixed catalogue of counters, gauges, and fixed-bucket
 //! histograms held in static atomic cells — metric handles are `static`s, so
-//! recording never allocates and never takes a lock on the hot path (the two
-//! label-keyed maps, WFQ lag and the profile rollup, are written only at run
-//! boundaries). Like the profiler and the invariant checker, the whole plane
-//! is opt-in: until [`arm`] is called every record function returns after a
-//! single branch, and the kernel-side dispatch hook is never installed, so
-//! un-instrumented processes pay one `Option` check per dispatched event and
-//! nothing else.
+//! recording never allocates and never takes a lock on the hot path (the one
+//! label-keyed map, WFQ lag, is written only at run boundaries). Like the
+//! profiler and the invariant checker, the whole plane is opt-in: until
+//! [`arm`] is called every record function returns after a single branch,
+//! and the kernel-side dispatch hook is never installed, so un-instrumented
+//! processes pay one `Option` check per dispatched event and nothing else.
 //!
 //! ## What is instrumented
 //!
@@ -43,8 +42,10 @@
 //! truncations and wall-clock-timed cancellation sweeps are themselves
 //! nondeterministic — workloads that byte-compare snapshots must avoid
 //! them, exactly as they must for reports.) `"wall"` holds host-clock
-//! measurements — the fsync latency histogram and the profiler rollup —
-//! which differ on every run and must never be byte-compared.
+//! measurements — the fsync latency histogram — which differ on every run
+//! and must never be byte-compared. Profiler timings are not copied into the
+//! registry; they live only in each run's
+//! [`ProfileSummary`](malsim_kernel::sched::ProfileSummary).
 //!
 //! The JSONL stream ([`set_jsonl_sink`]) appends one compact line per point
 //! boundary containing the *deterministic* section only; the final line of
@@ -59,7 +60,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use malsim_kernel::queue::QueueStats;
-use malsim_kernel::sched::ProfileSummary;
 use malsim_kernel::telemetry::TelemetryHook;
 use malsim_kernel::trace::TraceCategory;
 
@@ -199,22 +199,6 @@ static FSYNC_HIST: Hist<{ FSYNC_BOUNDS_US.len() }> = Hist::new(FSYNC_BOUNDS_US);
 /// at the end of each queue run, never on the dispatch path.
 static WFQ_LAG: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
 
-/// Folded profiler rollup: per-category `(events, host_ms)` across every
-/// summary recorded via [`record_profile`].
-static PROFILE: Mutex<ProfileAgg> = Mutex::new(ProfileAgg::new());
-
-#[derive(Debug)]
-struct ProfileAgg {
-    per_cat: BTreeMap<String, (u64, f64)>,
-    points: u64,
-}
-
-impl ProfileAgg {
-    const fn new() -> ProfileAgg {
-        ProfileAgg { per_cat: BTreeMap::new(), points: 0 }
-    }
-}
-
 /// The JSONL point-boundary stream, if one was opened.
 static JSONL: Mutex<Option<JsonlSink>> = Mutex::new(None);
 
@@ -255,9 +239,8 @@ static HOOK: KernelHook = KernelHook;
 ///
 /// Call once at process start, **before any simulation is created**: a `Sim`
 /// captures the hook at construction, so sims built earlier never report
-/// dispatches. Kernel installation is one-way; [`disarm`] stops recording
-/// but armed-then-disarmed processes keep paying the (tiny) hook dispatch
-/// cost, so arming is meant for whole-process observation, not toggling.
+/// dispatches. Arming is one-way: it is meant for whole-process
+/// observation, not toggling.
 pub fn arm() {
     malsim_kernel::telemetry::install(&HOOK);
     ARMED.store(true, Ordering::SeqCst);
@@ -272,20 +255,15 @@ pub fn arm_if_env() -> bool {
     armed()
 }
 
-/// Stops recording (cells keep their values until [`reset`]).
-pub fn disarm() {
-    ARMED.store(false, Ordering::SeqCst);
-}
-
 /// Whether the registry is recording.
 pub fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
-/// Zeroes every cell, clears the labeled maps and the profiler rollup, and
-/// closes the JSONL sink. Intended for test isolation — the registry is
-/// process-global, so tests that assert exact values must reset first (and
-/// must not share a process with unrelated instrumented work).
+/// Zeroes every cell, clears the labeled map, and closes the JSONL sink.
+/// Intended for test isolation — the registry is process-global, so tests
+/// that assert exact values must reset first (and must not share a process
+/// with unrelated instrumented work).
 pub fn reset() {
     for c in &SCHED_DISPATCHES {
         c.clear();
@@ -320,7 +298,6 @@ pub fn reset() {
     JOBS_DEGRADED_STORAGE.clear();
     FSYNC_HIST.clear();
     lock(&WFQ_LAG).clear();
-    *lock(&PROFILE) = ProfileAgg::new();
     *lock(&JSONL) = None;
 }
 
@@ -500,51 +477,6 @@ pub(crate) fn jobs_degraded_storage(n: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Profiler bridge (satellite: one export path for profiler and metrics)
-// ---------------------------------------------------------------------------
-
-/// Canonical-JSON rendering of one [`ProfileSummary`] — the machine-readable
-/// twin of [`ProfileSummary::render`]'s aligned text table.
-pub fn profile_json(summary: &ProfileSummary) -> Json {
-    let rows = summary
-        .rows
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("category", r.category.as_str().into()),
-                ("events", Json::U64(r.events)),
-                ("host_ms", Json::F64(r.host_ms)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("total_events", Json::U64(summary.total_events)),
-        ("total_host_ms", Json::F64(summary.total_host_ms)),
-        ("queue_p50", Json::F64(summary.queue_p50)),
-        ("queue_p95", Json::F64(summary.queue_p95)),
-        ("queue_p99", Json::F64(summary.queue_p99)),
-        ("queue_max", Json::F64(summary.queue_max)),
-        ("rows", Json::Arr(rows)),
-    ])
-}
-
-/// Folds one profiling summary's per-category rollup into the registry's
-/// wall-clock section, so a profiled sweep's dispatch costs surface in the
-/// same snapshot as the counters. No-op when unarmed.
-pub fn record_profile(summary: &ProfileSummary) {
-    if !armed() {
-        return;
-    }
-    let mut agg = lock(&PROFILE);
-    agg.points += 1;
-    for row in &summary.rows {
-        let slot = agg.per_cat.entry(row.category.clone()).or_insert((0, 0.0));
-        slot.0 += row.events;
-        slot.1 += row.host_ms;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Catalogue and exporters
 // ---------------------------------------------------------------------------
 
@@ -552,7 +484,6 @@ pub fn record_profile(summary: &ProfileSummary) {
 enum Value {
     Int(u64),
     Labeled { key: &'static str, items: Vec<(String, u64)> },
-    LabeledF64 { key: &'static str, items: Vec<(String, f64)> },
     Hist { bounds: &'static [u64], counts: Vec<u64>, sum: u64, count: u64 },
 }
 
@@ -589,11 +520,6 @@ fn collect() -> Vec<Metric> {
         deterministic: true,
         value: Value::Int(cell.get()),
     };
-    let profile = lock(&PROFILE);
-    let profile_events: Vec<(String, u64)> = profile.per_cat.iter().map(|(k, v)| (k.clone(), v.0)).collect();
-    let profile_host_ms: Vec<(String, f64)> = profile.per_cat.iter().map(|(k, v)| (k.clone(), v.1)).collect();
-    let profile_points = profile.points;
-    drop(profile);
     vec![
         Metric {
             name: "malsim_sched_dispatches_total",
@@ -742,27 +668,6 @@ fn collect() -> Vec<Metric> {
                 count: FSYNC_HIST.count.get(),
             },
         },
-        Metric {
-            name: "malsim_profile_points",
-            help: "Profiling summaries folded into the rollup below.",
-            kind: "gauge",
-            deterministic: false,
-            value: Value::Int(profile_points),
-        },
-        Metric {
-            name: "malsim_profile_events_total",
-            help: "Profiler rollup: dispatches per trace category across recorded summaries.",
-            kind: "counter",
-            deterministic: false,
-            value: Value::Labeled { key: "category", items: profile_events },
-        },
-        Metric {
-            name: "malsim_profile_host_ms_total",
-            help: "Profiler rollup: host milliseconds per trace category across recorded summaries.",
-            kind: "counter",
-            deterministic: false,
-            value: Value::LabeledF64 { key: "category", items: profile_host_ms },
-        },
     ]
 }
 
@@ -771,9 +676,6 @@ fn metric_json(value: &Value) -> Json {
         Value::Int(n) => Json::U64(*n),
         Value::Labeled { items, .. } => {
             Json::Obj(items.iter().map(|(k, v)| (k.clone(), Json::U64(*v))).collect())
-        }
-        Value::LabeledF64 { items, .. } => {
-            Json::Obj(items.iter().map(|(k, v)| (k.clone(), Json::F64(*v))).collect())
         }
         Value::Hist { bounds, counts, sum, count } => {
             let mut cum = 0u64;
@@ -840,11 +742,6 @@ pub fn render_prometheus() -> String {
                 let _ = writeln!(out, "{} {}", m.name, n);
             }
             Value::Labeled { key, items } => {
-                for (label, v) in items {
-                    let _ = writeln!(out, "{}{{{}=\"{}\"}} {}", m.name, key, label, v);
-                }
-            }
-            Value::LabeledF64 { key, items } => {
                 for (label, v) in items {
                     let _ = writeln!(out, "{}{{{}=\"{}\"}} {}", m.name, key, label, v);
                 }
@@ -939,26 +836,6 @@ mod tests {
         );
         assert_eq!(TRUNCATION_KINDS[truncation_index(Truncation::EventBudget)], "event_budget");
         assert_eq!(TRUNCATION_KINDS[truncation_index(Truncation::HostDeadline)], "host_deadline");
-    }
-
-    #[test]
-    fn profile_json_mirrors_the_summary() {
-        use malsim_kernel::sched::ProfileRow;
-        let summary = ProfileSummary {
-            rows: vec![ProfileRow { category: "net".to_owned(), events: 3, host_ms: 1.5 }],
-            total_events: 3,
-            total_host_ms: 1.5,
-            queue_p50: 1.0,
-            queue_p95: 2.0,
-            queue_p99: 2.0,
-            queue_max: 2.0,
-        };
-        let json = profile_json(&summary);
-        assert_eq!(json.get("total_events"), Some(&Json::U64(3)));
-        let rows = json.get("rows").expect("rows present");
-        let Json::Arr(rows) = rows else { panic!("rows is an array") };
-        assert_eq!(rows[0].get("category"), Some(&Json::Str("net".to_owned())));
-        assert_eq!(rows[0].get("host_ms"), Some(&Json::F64(1.5)));
     }
 
     #[test]

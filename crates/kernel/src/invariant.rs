@@ -135,11 +135,6 @@ impl<W> InvariantChecker<W> {
         }
     }
 
-    /// Whether the checker panics on the first violation.
-    pub fn is_strict(&self) -> bool {
-        self.strict
-    }
-
     /// Registers a world-level law, run after every dispatch.
     pub fn add_law(
         &mut self,

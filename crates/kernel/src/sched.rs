@@ -325,16 +325,6 @@ impl<W> Sim<W> {
         WatchedRun { reason: StopReason::Completed, executed }
     }
 
-    /// Runs at most `max_events` events; returns how many were executed.
-    pub fn run_steps(&mut self, world: &mut W, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events && self.step(world) {
-            n += 1;
-        }
-        self.flush_queue_stats();
-        n
-    }
-
     /// Records a trace event stamped with the current time.
     pub fn record(&mut self, category: TraceCategory, actor: impl Into<String>, message: impl Into<String>) {
         self.note_dispatch(category);
@@ -790,18 +780,6 @@ mod tests {
         assert!(s.cancel(h));
         s.run(&mut w);
         assert!(w.is_empty());
-    }
-
-    #[test]
-    fn run_steps_bounds_execution() {
-        let mut s = sim();
-        let mut w = Vec::new();
-        for sec in 1..=10 {
-            s.schedule_in(SimDuration::from_secs(sec), move |w: &mut World, _| w.push(sec as u32));
-        }
-        assert_eq!(s.run_steps(&mut w, 4), 4);
-        assert_eq!(w.len(), 4);
-        assert_eq!(s.pending(), 6);
     }
 
     #[test]

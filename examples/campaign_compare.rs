@@ -30,14 +30,14 @@ fn main() {
 
     println!("\nstealth/detection ablation (E11): aggressive spreading trips behavioural AV");
     let mut t = Table::new(vec!["actions/round".into(), "infected".into(), "behavioural alerts".into()]);
-    for row in experiments::e11_stealth_tradeoff(seed, 20, &[1.0, 4.0, 12.0]) {
+    for row in experiments::e11_stealth_tradeoff(seed, 20, &[1.0, 4.0, 12.0], sweep::threads_from_env()) {
         t.row(vec![format!("{:.0}", row.aggressiveness), row.infected.to_string(), row.alerts.to_string()]);
     }
     print!("{t}");
 
     println!("\nanti-forensics (E12): recovery score before vs after SUICIDE");
     let mut t = Table::new(vec!["scenario".into(), "recovery score".into(), "c2 log lines".into()]);
-    for row in experiments::e12_suicide_forensics(seed, 8) {
+    for row in experiments::e12_suicide_forensics(seed, 8, sweep::threads_from_env()) {
         t.row(vec![
             row.scenario,
             format!("{:.2}", row.recovery_score),

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use malsim::chaosfs::{ChaosFs, FaultSchedule};
+use malsim::chaosfs::{ChaosFs, FaultSchedule, REAL_FS};
 use malsim::checkpoint::{self, journal_line_key};
 use malsim::jobs::{self, JobBudget, JobQueue, JobSpec, Priority, QueueConfig, QueueRun, SeedPolicy};
 use malsim::report::{self, Json};
@@ -227,7 +227,7 @@ fn main() -> ExitCode {
         let fsynced = durable_keys(&image, durable_len);
         let crashed = temp(&format!("s{i}-crash"));
         std::fs::write(&crashed, &image).expect("writing the crash image");
-        if let Err(e) = checkpoint::repair_journal(&crashed) {
+        if let Err(e) = checkpoint::repair_journal(&crashed, &REAL_FS) {
             violation(&mut violations, format!("schedule {i}: repair failed: {e}"));
         }
         let repaired: BTreeSet<String> = std::fs::read_to_string(&crashed)

@@ -27,7 +27,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use malsim::experiments::e2_zero_day_ablation_t;
+use malsim::experiments::e2_zero_day_ablation;
 use malsim::jobs::{JobBudget, JobQueue, JobSpec, Priority, QueueConfig, SeedPolicy};
 use malsim::report::Json;
 use malsim::scenario::ScenarioBuilder;
@@ -160,7 +160,7 @@ fn main() {
                 }
                 _ => {
                     let rate = jp.params.get("patch_rate").and_then(Json::as_f64).expect("patch_rate");
-                    let rows = e2_zero_day_ablation_t(jp.seed(), 6, 3, &[rate], 1);
+                    let rows = e2_zero_day_ablation(jp.seed(), 6, 3, &[rate], 1);
                     Ok(PointRun::complete(rows[0].to_json()))
                 }
             };

@@ -125,7 +125,7 @@ fn main() {
     // The targeting control: the same infection against a wrong-vendor plant.
     println!("\ntargeting discipline (E3):");
     let mut t = Table::new(vec!["plc configuration".into(), "payload armed".into(), "destroyed".into()]);
-    for row in experiments::e3_plc_targeting(seed, 10) {
+    for row in experiments::e3_plc_targeting(seed, 10, sweep::threads_from_env()) {
         t.row(vec![row.configuration, row.armed.to_string(), row.destroyed.to_string()]);
     }
     print!("{t}");

@@ -20,7 +20,7 @@ fn main() {
         hosts_per_zone,
         zones * (hosts_per_zone + 1),
     );
-    let r = experiments::e9_shamoon_wipe(815, zones, hosts_per_zone, seeded);
+    let r = experiments::e9_shamoon_wipe_run(815, zones, hosts_per_zone, seeded).result;
 
     let mut t = Table::new(vec!["quantity".into(), "value".into()]);
     t.row(vec!["fleet size".into(), r.fleet.to_string()]);

@@ -33,7 +33,7 @@
 use std::path::PathBuf;
 
 use malsim::experiments::{
-    e13_takedown_resilience_profiled_t, e13_takedown_resilience_supervised, e13_takedown_resilience_t, grids,
+    e13_takedown_resilience, e13_takedown_resilience_profiled_t, e13_takedown_resilience_supervised, grids,
     SupervisedSweepOpts,
 };
 use malsim::sweep;
@@ -158,7 +158,7 @@ fn main() {
             e13_takedown_resilience_profiled_t(seed, clients, days, grids::E13_SINKHOLE_FRACTIONS, threads);
         (rows, Some(profiles))
     } else {
-        (e13_takedown_resilience_t(seed, clients, days, grids::E13_SINKHOLE_FRACTIONS, threads), None)
+        (e13_takedown_resilience(seed, clients, days, grids::E13_SINKHOLE_FRACTIONS, threads), None)
     };
     println!("sinkholed  servers  domains  reachable  direct MB/wk  ferried MB/wk  total MB/wk  backlog");
     for r in rows {

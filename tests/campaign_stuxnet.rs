@@ -7,7 +7,7 @@ use malsim_kernel::time::SimDuration;
 use malsim_os::usb::UsbDrive;
 
 fn e1(seed: u64) -> experiments::E1Result {
-    experiments::e1_stuxnet_end_to_end(seed, 30)
+    experiments::e1_stuxnet_end_to_end_run(seed, 30, false).result
 }
 
 #[test]

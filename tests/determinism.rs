@@ -167,10 +167,10 @@ fn fault_schedules_under_the_parallel_runner_are_byte_identical() {
 
 #[test]
 fn experiment_functions_are_deterministic() {
-    let a = experiments::e1_stuxnet_end_to_end(77, 15);
-    let b = experiments::e1_stuxnet_end_to_end(77, 15);
+    let a = experiments::e1_stuxnet_end_to_end_run(77, 15, false).result;
+    let b = experiments::e1_stuxnet_end_to_end_run(77, 15, false).result;
     assert_eq!(a, b);
-    let c = experiments::e9_shamoon_wipe(77, 3, 10, 1);
-    let d = experiments::e9_shamoon_wipe(77, 3, 10, 1);
+    let c = experiments::e9_shamoon_wipe_run(77, 3, 10, 1).result;
+    let d = experiments::e9_shamoon_wipe_run(77, 3, 10, 1).result;
     assert_eq!(c, d);
 }

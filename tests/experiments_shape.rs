@@ -6,7 +6,7 @@ use malsim::prelude::*;
 
 #[test]
 fn e2_infection_falls_as_patch_rate_rises() {
-    let rows = experiments::e2_zero_day_ablation(11, 40, 5, &[0.0, 0.5, 1.0]);
+    let rows = experiments::e2_zero_day_ablation(11, 40, 5, &[0.0, 0.5, 1.0], sweep::threads_from_env());
     assert_eq!(rows.len(), 3);
     assert!(rows[0].infected_fraction > 0.9, "unpatched LAN saturates: {rows:?}");
     assert!(rows[0].infected_fraction >= rows[1].infected_fraction, "more patches, fewer infections");
@@ -15,7 +15,7 @@ fn e2_infection_falls_as_patch_rate_rises() {
 
 #[test]
 fn e3_targeting_discipline_holds() {
-    let rows = experiments::e3_plc_targeting(11, 10);
+    let rows = experiments::e3_plc_targeting(11, 10, sweep::threads_from_env());
     let targeted = rows.iter().find(|r| r.configuration.contains("targeted")).unwrap();
     let wrong = rows.iter().find(|r| r.configuration.contains("wrong")).unwrap();
     assert!(targeted.armed && targeted.destroyed > 0);
@@ -24,7 +24,7 @@ fn e3_targeting_discipline_holds() {
 
 #[test]
 fn e4_mitm_is_the_difference_maker() {
-    let rows = experiments::e4_wpad_mitm(11, &[8], 72);
+    let rows = experiments::e4_wpad_mitm(11, &[8], 72, sweep::threads_from_env());
     let without = rows.iter().find(|r| !r.mitm_active).unwrap();
     let with = rows.iter().find(|r| r.mitm_active).unwrap();
     assert!(without.infected_fraction <= 0.2, "seed only: {without:?}");
@@ -43,7 +43,7 @@ fn e5_policy_matrix_matches_the_figure_3_story() {
 
 #[test]
 fn e6_domain_fanout_beats_single_domain_under_takedown() {
-    let rows = experiments::e6_candc_resilience(11, 30, &[0.0, 0.5, 0.9, 1.0]);
+    let rows = experiments::e6_candc_resilience(11, 30, &[0.0, 0.5, 0.9, 1.0], sweep::threads_from_env());
     assert!((rows[0].reachable_many - 1.0).abs() < 1e-9);
     // At 50% takedown the many-domain platform stays near-fully reachable.
     assert!(rows[1].reachable_many > 0.9, "{rows:?}");
@@ -65,7 +65,7 @@ fn e7_dataflow_runs_and_cleans_up() {
 
 #[test]
 fn e8_triage_uploads_less_but_keeps_the_juice() {
-    let rows = experiments::e8_exfil_ablation(11, 5, 4);
+    let rows = experiments::e8_exfil_ablation(11, 5, 4, sweep::threads_from_env());
     let triage = rows.iter().find(|r| r.strategy.contains("triage")).unwrap();
     let greedy = rows.iter().find(|r| r.strategy.contains("everything")).unwrap();
     assert!(triage.bytes_uploaded < greedy.bytes_uploaded, "triage moves fewer bytes: {rows:?}");
@@ -75,7 +75,7 @@ fn e8_triage_uploads_less_but_keeps_the_juice() {
 
 #[test]
 fn e9_small_scale_shamoon_shape() {
-    let r = experiments::e9_shamoon_wipe(11, 4, 24, 2);
+    let r = experiments::e9_shamoon_wipe_run(11, 4, 24, 2).result;
     assert_eq!(r.fleet, 4 * 25);
     // Seeded zones saturate; unseeded zones are untouched (zone isolation).
     assert_eq!(r.infected, 2 * 25);
@@ -113,7 +113,7 @@ fn e10_trend_matrix_has_paper_shape() {
 
 #[test]
 fn e11_aggressiveness_buys_detection() {
-    let rows = experiments::e11_stealth_tradeoff(11, 15, &[1.0, 12.0]);
+    let rows = experiments::e11_stealth_tradeoff(11, 15, &[1.0, 12.0], sweep::threads_from_env());
     let quiet = &rows[0];
     let loud = &rows[1];
     assert_eq!(quiet.alerts, 0, "stealthy activity stays under the budget");
@@ -122,7 +122,7 @@ fn e11_aggressiveness_buys_detection() {
 
 #[test]
 fn e12_suicide_defeats_forensics() {
-    let rows = experiments::e12_suicide_forensics(11, 6);
+    let rows = experiments::e12_suicide_forensics(11, 6, sweep::threads_from_env());
     let before = rows.iter().find(|r| r.scenario.contains("before")).unwrap();
     let after = rows.iter().find(|r| r.scenario.contains("after")).unwrap();
     assert!(before.recovery_score > 0.9);
@@ -132,7 +132,8 @@ fn e12_suicide_defeats_forensics() {
 
 #[test]
 fn e13_ferry_recovers_documents_until_full_takedown() {
-    let rows = experiments::e13_takedown_resilience(11, 10, 7, &[0.0, 0.5, 0.9, 1.0]);
+    let rows =
+        experiments::e13_takedown_resilience(11, 10, 7, &[0.0, 0.5, 0.9, 1.0], sweep::threads_from_env());
     assert_eq!(rows.len(), 4);
     // The direct path degrades monotonically as servers fall.
     for pair in rows.windows(2) {

@@ -427,6 +427,58 @@ fn changed_resubmission_is_rejected_on_resume() {
     std::fs::remove_file(&journal).unwrap();
 }
 
+/// A damaged admission line takes with it the identity a resubmission is
+/// checked against, so a changed resubmission cannot be told apart: the
+/// job's journaled records are not restored, it re-runs from scratch, and
+/// it journals its admission again.
+#[test]
+fn lost_admission_line_reruns_the_job_instead_of_splicing() {
+    let journal = temp("lost-admission");
+    let cfg = QueueConfig { journal: Some(journal.clone()), ..QueueConfig::default() };
+    let mut queue = JobQueue::new(cfg.clone()).unwrap();
+    queue.submit(spec("drift", "tenant-a", sim_grid(3, 8))).unwrap();
+    queue.run(eval).unwrap();
+
+    // Flip one byte of the admission line, so its self-hash fails.
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let tampered: Vec<String> = text
+        .lines()
+        .map(|l| {
+            if l.contains("\"status\":\"admitted\"") {
+                l.replacen("tenant-a", "tenant-b", 1)
+            } else {
+                l.into()
+            }
+        })
+        .collect();
+    assert_ne!(tampered.join("\n"), text.trim_end(), "the admission line is journaled");
+    std::fs::write(&journal, format!("{}\n", tampered.join("\n"))).unwrap();
+
+    let mut changed = spec("drift", "tenant-a", sim_grid(3, 8));
+    changed.base_seed = 99;
+    let mut fresh = JobQueue::new(QueueConfig::default()).unwrap();
+    fresh.submit(changed.clone()).unwrap();
+    let fresh = fresh.run(eval).unwrap().outcomes.remove(0).report().to_canonical_string();
+
+    let resume = QueueConfig { resume: true, ..cfg };
+    let mut queue = JobQueue::new(resume.clone()).unwrap();
+    queue.submit(changed.clone()).unwrap();
+    let run = queue.run(eval).unwrap();
+    assert_eq!(run.skipped_lines, 1, "the damaged admission line");
+    assert_eq!(run.outcomes[0].resumed_points, 0, "seed 40's records must not be spliced");
+    assert_eq!(run.outcomes[0].report().to_canonical_string(), fresh);
+
+    // The re-run journaled its admission again, so the next resume restores
+    // every point.
+    let mut queue = JobQueue::new(resume).unwrap();
+    queue.submit(changed).unwrap();
+    let again = queue.run(eval).unwrap();
+    assert_eq!(again.outcomes[0].resumed_points, 3);
+    assert_eq!(again.outcomes[0].evaluated_points, 0);
+    assert_eq!(again.outcomes[0].report().to_canonical_string(), fresh);
+    std::fs::remove_file(&journal).unwrap();
+}
+
 /// Disk-full mid-journal: once the chaos disk runs out of space the journal
 /// quarantines with a typed `StorageFull` fault, but every job still runs to
 /// completion and reports the same bytes as a journal-free run.
@@ -510,7 +562,7 @@ fn fsync_failure_mid_journal_quarantines_then_repair_salvages_the_durable_prefix
 
     // The on-disk journal holds whatever prefix survived; repair compacts it
     // to self-hash-valid lines and the resume re-runs only what was lost.
-    let summary = malsim::checkpoint::repair_journal(&journal).unwrap();
+    let summary = malsim::checkpoint::repair_journal(&journal, &malsim::chaosfs::REAL_FS).unwrap();
     assert_eq!(summary.dropped, summary.lines_seen - summary.kept);
     let mut queue = JobQueue::new(QueueConfig {
         pool: PoolConfig::explicit(1),

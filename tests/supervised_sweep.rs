@@ -124,7 +124,7 @@ fn e1_checked_run_is_violation_free() {
     let (run, violations) = experiments::e1_stuxnet_end_to_end_checked(42, 10, false, true);
     assert!(violations.is_empty(), "{violations:?}");
     // The checker never perturbs the run: same headline as the unchecked path.
-    assert_eq!(run.result, experiments::e1_stuxnet_end_to_end(42, 10));
+    assert_eq!(run.result, experiments::e1_stuxnet_end_to_end_run(42, 10, false).result);
 }
 
 #[test]

@@ -22,11 +22,11 @@ fn every_experiment_is_byte_identical_at_1_2_and_8_threads() {
 #[test]
 fn oversubscribed_and_single_point_sweeps_hold_the_contract() {
     // More workers than points, and a one-point grid: both must match serial.
-    let serial = experiments::e13_takedown_resilience_t(11, 6, 3, &[0.5], 1);
-    assert_eq!(serial, experiments::e13_takedown_resilience_t(11, 6, 3, &[0.5], 64));
+    let serial = experiments::e13_takedown_resilience(11, 6, 3, &[0.5], 1);
+    assert_eq!(serial, experiments::e13_takedown_resilience(11, 6, 3, &[0.5], 64));
     let grid = experiments::grids::E2_PATCH_RATES;
     assert_eq!(
-        experiments::e2_zero_day_ablation_t(7, 20, 3, grid, 1),
-        experiments::e2_zero_day_ablation_t(7, 20, 3, grid, 64),
+        experiments::e2_zero_day_ablation(7, 20, 3, grid, 1),
+        experiments::e2_zero_day_ablation(7, 20, 3, grid, 64),
     );
 }

@@ -44,7 +44,7 @@ fn span_ids_are_identical_at_every_sweep_thread_count() {
             assert_eq!(cats_a, cats_b, "threads={threads}");
         }
     }
-    let plain = experiments::e13_takedown_resilience_t(11, 6, 3, &[0.0, 0.5, 1.0], 1);
+    let plain = experiments::e13_takedown_resilience(11, 6, 3, &[0.0, 0.5, 1.0], 1);
     assert_eq!(rows_1, plain, "profiling never changes the rows");
 }
 
