@@ -50,7 +50,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::telemetry;
+use crate::telemetry::Counter;
 
 // ---------------------------------------------------------------------------
 // The backend seam
@@ -149,8 +149,8 @@ pub enum IoFaultKind {
 }
 
 impl IoFaultKind {
-    /// Every kind, in label-table order (see
-    /// [`telemetry`]'s `chaos_faults_injected{kind}`).
+    /// Every kind, in declaration order, which indexes the `kind` labels of
+    /// [`telemetry`](crate::telemetry)'s `malsim_chaos_faults_injected_total`.
     pub const ALL: [IoFaultKind; 7] = [
         IoFaultKind::FsyncFail,
         IoFaultKind::ShortWrite,
@@ -439,7 +439,7 @@ struct ChaosState {
 impl ChaosState {
     fn inject(&mut self, kind: IoFaultKind) {
         *self.injected.entry(kind.label()).or_insert(0) += 1;
-        telemetry::chaos_fault_injected(kind);
+        Counter::ChaosFaultsInjected.add_at(kind as usize, 1);
     }
 }
 

@@ -37,7 +37,13 @@
 //! of [`SweepOutcomes::report`]: reports carry only deterministic,
 //! run-history-free data, and whether this particular run's disk misbehaved
 //! is run history. [`repair_journal`] compacts a damaged journal down to its
-//! self-hash-valid lines.
+//! self-hash-valid lines, kept in file order, so a repaired journal replays
+//! as the original does.
+//!
+//! Checkpoint and job-journal lines share one format: the loaders and
+//! [`journal_line_key`] parse every line in one pass with every integrity
+//! check, and all three storage operations (read, open, append) retry
+//! transient faults through one loop.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -46,9 +52,10 @@ use std::sync::Mutex;
 use crate::chaosfs::{
     classify, FaultClass, IoRetryPolicy, StorageBackend, StorageFault, StorageFile, StorageOp, REAL_FS,
 };
+use crate::jobs::{JobSpec, JobStatus};
 use crate::report::{self, Json};
 use crate::sweep::{self, PointOutcome, PointRun, PoolConfig, SweepCtx, SweepSupervisor};
-use crate::telemetry;
+use crate::telemetry::{self, Counter};
 
 /// FNV-1a 64-bit hash (the checkpoint record integrity check).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -58,6 +65,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// A record's `hash` field: the hex FNV-1a of its compact row, empty when it
+/// has no row.
+fn row_hash(row: Option<&Json>) -> String {
+    row.map_or_else(String::new, |row| format!("{:016x}", fnv1a64(row.to_compact_string().as_bytes())))
 }
 
 /// Errors from checkpoint persistence and resume.
@@ -202,18 +215,14 @@ impl CheckpointRecord {
     /// given `(scope, base_seed)` identity — the sweep's experiment label
     /// for checkpoints, the job id for job journals.
     pub(crate) fn to_json(&self, experiment: &str, base_seed: u64) -> Json {
-        let (row, hash) = match &self.row {
-            Some(row) => (row.clone(), format!("{:016x}", fnv1a64(row.to_compact_string().as_bytes()))),
-            None => (Json::Null, String::new()),
-        };
         Json::obj([
             ("experiment", experiment.into()),
             ("base_seed", Json::U64(base_seed)),
             ("point", Json::U64(self.point as u64)),
             ("status", self.status.label().into()),
             ("truncation", self.truncation.clone().into()),
-            ("hash", hash.into()),
-            ("row", row),
+            ("hash", row_hash(self.row.as_ref()).into()),
+            ("row", self.row.clone().unwrap_or(Json::Null)),
             ("panic_msg", self.panic_msg.clone().into()),
             ("params", self.params.clone().into()),
             ("script_id", self.script_id.clone().into()),
@@ -240,48 +249,68 @@ impl CheckpointRecord {
             ("violations", Json::Arr(self.violations.iter().map(|v| v.as_str().into()).collect())),
         ])
     }
+}
 
-    /// Parses one checkpoint line. `Ok(None)` means the line is damaged or
-    /// stale (skip and re-run the point); `Err` means it belongs to another
-    /// sweep entirely.
-    pub(crate) fn from_line(
-        line: &str,
-        path: &Path,
-        experiment: &str,
-        base_seed: u64,
-    ) -> Result<Option<CheckpointRecord>, CheckpointError> {
-        let Ok(v) = report::parse(line) else { return Ok(None) };
-        let (Some(exp), Some(seed)) =
-            (v.get("experiment").and_then(Json::as_str), v.get("base_seed").and_then(Json::as_u64))
-        else {
-            return Ok(None);
+/// One journal or checkpoint line, parsed in one pass with every integrity
+/// check. The checkpoint loader ([`Manifest::load`]), the job journal loader
+/// and [`journal_line_key`] all read lines through [`JournalLine::parse`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum JournalLine {
+    /// A point record under its `(scope, base_seed)` identity: the sweep's
+    /// experiment label in a checkpoint, the job id in a job journal.
+    Record { scope: String, base_seed: u64, record: CheckpointRecord },
+    /// A job's admission, carrying the identity hash a resubmission is
+    /// checked against.
+    Admitted { job_id: String, identity: String },
+    /// A job's terminal verdict.
+    Finished { job_id: String, status: JobStatus },
+}
+
+impl JournalLine {
+    /// Renders `spec`'s transition to `status` (`"admitted"` or a
+    /// [`JobStatus`] label) as one self-hashed line: its `hash` field is the
+    /// FNV-1a hash of the line with that field blanked, mirroring the row
+    /// hash on point records.
+    pub(crate) fn transition(spec: &JobSpec, status: &str) -> String {
+        let line = |hash: &str| {
+            Json::obj([
+                ("kind", "transition".into()),
+                ("job_id", spec.job_id.as_str().into()),
+                ("tenant", spec.tenant.as_str().into()),
+                ("experiment", spec.experiment.into()),
+                ("base_seed", Json::U64(spec.base_seed)),
+                ("status", status.into()),
+                ("identity", spec.identity_hash().into()),
+                ("hash", hash.into()),
+            ])
+            .to_compact_string()
         };
-        if exp != experiment || seed != base_seed {
-            return Err(CheckpointError::WrongSweep {
-                path: path.to_owned(),
-                expected: format!("({experiment}, seed {base_seed})"),
-                found: format!("({exp}, seed {seed})"),
+        line(&format!("{:016x}", fnv1a64(line("").as_bytes())))
+    }
+
+    /// Parses one line. `None` means the line is damaged (torn, tampered,
+    /// unparseable, or failing its hash) and contributes nothing.
+    pub(crate) fn parse(line: &str) -> Option<JournalLine> {
+        let v = report::parse(line).ok()?;
+        let text = |key: &str| v.get(key).and_then(Json::as_str);
+        if text("kind") == Some("transition") {
+            if !self_hash_valid(&v) {
+                return None;
+            }
+            let job_id = text("job_id")?.to_owned();
+            return Some(match text("status")? {
+                "admitted" => JournalLine::Admitted { job_id, identity: text("identity")?.to_owned() },
+                status => JournalLine::Finished { job_id, status: JobStatus::from_label(status)? },
             });
         }
-        let (Some(point), Some(status), Some(hash)) = (
-            v.get("point").and_then(Json::as_u64),
-            v.get("status").and_then(Json::as_str).and_then(PointStatus::from_label),
-            v.get("hash").and_then(Json::as_str),
-        ) else {
-            return Ok(None);
-        };
         let row = match v.get("row") {
             Some(Json::Null) | None => None,
             Some(row) => Some(row.clone()),
         };
         // Integrity gate: a record whose row does not hash to its recorded
         // digest (torn write, manual edit) is treated as absent.
-        let hash_ok = match &row {
-            Some(row) => hash == format!("{:016x}", fnv1a64(row.to_compact_string().as_bytes())),
-            None => hash.is_empty(),
-        };
-        if !hash_ok {
-            return Ok(None);
+        if text("hash")? != row_hash(row.as_ref()) {
+            return None;
         }
         let strings = |key: &str| -> Vec<String> {
             match v.get(key) {
@@ -289,18 +318,23 @@ impl CheckpointRecord {
                 _ => Vec::new(),
             }
         };
-        Ok(Some(CheckpointRecord {
-            point: point as usize,
-            status,
-            truncation: v.get("truncation").and_then(Json::as_str).map(str::to_owned),
-            row,
-            panic_msg: v.get("panic_msg").and_then(Json::as_str).map(str::to_owned),
-            params: v.get("params").and_then(Json::as_str).map(str::to_owned),
-            script_id: v.get("script_id").and_then(Json::as_str).map(str::to_owned),
-            script_error: v.get("script_error").and_then(Json::as_str).map(str::to_owned),
-            fuel_used: v.get("fuel_used").and_then(Json::as_u64),
-            violations: strings("violations"),
-        }))
+        let owned = |key: &str| text(key).map(str::to_owned);
+        Some(JournalLine::Record {
+            scope: text("experiment")?.to_owned(),
+            base_seed: v.get("base_seed").and_then(Json::as_u64)?,
+            record: CheckpointRecord {
+                point: v.get("point").and_then(Json::as_u64)? as usize,
+                status: text("status").and_then(PointStatus::from_label)?,
+                truncation: owned("truncation"),
+                row,
+                panic_msg: owned("panic_msg"),
+                params: owned("params"),
+                script_id: owned("script_id"),
+                script_error: owned("script_error"),
+                fuel_used: v.get("fuel_used").and_then(Json::as_u64),
+                violations: strings("violations"),
+            },
+        })
     }
 }
 
@@ -316,33 +350,46 @@ pub struct Manifest {
     pub load_fault: Option<StorageFault>,
 }
 
+/// The typed fault for a failed `op` after `retries` transient retries.
+fn storage_fault(op: StorageOp, e: &std::io::Error, retries: u32) -> StorageFault {
+    StorageFault { op, kind: e.kind(), detail: e.to_string(), retries }
+}
+
+/// Runs the storage operation `io` under the default [`IoRetryPolicy`]: a
+/// transient failure ([`classify`]) is retried after the policy's backoff
+/// until the retry budget runs out; any other failure is returned at once as
+/// a typed fault for `op`. On success, returns the value and the retries it
+/// burned.
+fn with_retry<T>(
+    op: StorageOp,
+    mut io: impl FnMut() -> std::io::Result<T>,
+) -> Result<(T, u32), StorageFault> {
+    let policy = IoRetryPolicy::default();
+    let mut attempt = 0u32;
+    loop {
+        match io() {
+            Ok(value) => return Ok((value, attempt)),
+            Err(e) if classify(e.kind()) == FaultClass::Transient && policy.should_retry(attempt) => {
+                Counter::CkptIoRetries.add(1);
+                std::thread::sleep(std::time::Duration::from_millis(policy.backoff_ms(attempt)));
+                attempt += 1;
+            }
+            Err(e) => return Err(storage_fault(op, &e, attempt)),
+        }
+    }
+}
+
 /// Reads `path` through `backend`, retrying transient faults with bounded
 /// backoff. `Ok(None)` is a missing file; a fatal fault is returned typed.
 pub(crate) fn read_with_retry(
     path: &Path,
     backend: &dyn StorageBackend,
 ) -> Result<Option<String>, StorageFault> {
-    let policy = IoRetryPolicy::default();
-    let mut attempt = 0u32;
-    loop {
-        match backend.read_to_string(path) {
-            Ok(text) => return Ok(Some(text)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) if classify(e.kind()) == FaultClass::Transient && policy.should_retry(attempt) => {
-                telemetry::ckpt_io_retry();
-                std::thread::sleep(std::time::Duration::from_millis(policy.backoff_ms(attempt)));
-                attempt += 1;
-            }
-            Err(e) => {
-                return Err(StorageFault {
-                    op: StorageOp::Read,
-                    kind: e.kind(),
-                    detail: e.to_string(),
-                    retries: attempt,
-                })
-            }
-        }
-    }
+    let read = with_retry(StorageOp::Read, || match backend.read_to_string(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        read => read.map(Some),
+    });
+    read.map(|(text, _)| text)
 }
 
 impl Manifest {
@@ -365,23 +412,29 @@ impl Manifest {
             Ok(Some(text)) => text,
             Ok(None) => return Ok(Manifest::default()),
             Err(fault) => {
-                telemetry::ckpt_journal_quarantined();
+                Counter::CkptJournalQuarantined.add(1);
                 return Ok(Manifest { load_fault: Some(fault), ..Manifest::default() });
             }
         };
         let mut manifest = Manifest::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            // A damaged line is skipped whatever sweep it names: its
+            // identity is as untrustworthy as the rest of it.
+            let Some(JournalLine::Record { scope, base_seed: seed, record }) = JournalLine::parse(line)
+            else {
+                manifest.skipped_lines += 1;
                 continue;
+            };
+            if scope != experiment || seed != base_seed {
+                return Err(CheckpointError::WrongSweep {
+                    path: path.to_owned(),
+                    expected: format!("({experiment}, seed {base_seed})"),
+                    found: format!("({scope}, seed {seed})"),
+                });
             }
-            match CheckpointRecord::from_line(line, path, experiment, base_seed)? {
-                Some(rec) => {
-                    manifest.records.insert(rec.point, rec);
-                }
-                None => manifest.skipped_lines += 1,
-            }
+            manifest.records.insert(record.point, record);
         }
-        telemetry::ckpt_damaged_lines(manifest.skipped_lines as u64);
+        Counter::CkptDamagedLines.add(manifest.skipped_lines as u64);
         Ok(manifest)
     }
 }
@@ -400,7 +453,6 @@ impl Manifest {
 #[derive(Debug)]
 pub struct CheckpointWriter {
     path: PathBuf,
-    policy: IoRetryPolicy,
     inner: Mutex<WriterState>,
 }
 
@@ -436,62 +488,32 @@ fn append_fully(file: &mut dyn StorageFile, mut buf: &[u8]) -> std::io::Result<(
 /// **always** fatal whatever its kind — after it the kernel page-cache state
 /// is unknowable, so a retried fsync that "works" could still silently drop
 /// the lines (the fsyncgate lesson).
-fn write_durable_lines(
-    st: &mut WriterState,
-    policy: &IoRetryPolicy,
-    framed: &[u8],
-) -> Result<(), StorageFault> {
-    let mut attempt = 0u32;
-    loop {
+fn write_durable_lines(st: &mut WriterState, framed: &[u8]) -> Result<(), StorageFault> {
+    let file = st.file.as_mut().expect("caller checks quarantine before writing");
+    let dirty_tail = &mut st.dirty_tail;
+    let ((), retries) = with_retry(StorageOp::Append, || {
         let healed;
-        let buf = if st.dirty_tail {
+        let buf = if *dirty_tail {
             healed = [b"\n", framed].concat();
             &healed[..]
         } else {
             framed
         };
-        let file = st.file.as_mut().expect("caller checks quarantine before writing");
-        match append_fully(file.as_mut(), buf).and_then(|()| file.flush()) {
-            Ok(()) => {}
-            Err(e) => {
-                // Bytes may have landed before the error; mark the tail
-                // dirty so a retry self-heals the line framing.
-                st.dirty_tail = true;
-                if classify(e.kind()) == FaultClass::Transient && policy.should_retry(attempt) {
-                    telemetry::ckpt_io_retry();
-                    std::thread::sleep(std::time::Duration::from_millis(policy.backoff_ms(attempt)));
-                    attempt += 1;
-                    continue;
-                }
-                return Err(StorageFault {
-                    op: StorageOp::Append,
-                    kind: e.kind(),
-                    detail: e.to_string(),
-                    retries: attempt,
-                });
-            }
-        }
-        // Time only the durability syscall, and only when telemetry is armed
-        // (`Instant::now` is not free on the unarmed path).
-        let started = telemetry::armed().then(std::time::Instant::now);
-        match file.fsync() {
-            Ok(()) => {
-                if let Some(t) = started {
-                    telemetry::ckpt_fsync_micros(t.elapsed().as_micros() as u64);
-                }
-                st.dirty_tail = false;
-                return Ok(());
-            }
-            Err(e) => {
-                return Err(StorageFault {
-                    op: StorageOp::Fsync,
-                    kind: e.kind(),
-                    detail: e.to_string(),
-                    retries: attempt,
-                })
-            }
-        }
+        let written = append_fully(file.as_mut(), buf).and_then(|()| file.flush());
+        // Bytes may have landed before an error; mark the tail dirty so a
+        // retry self-heals the line framing.
+        *dirty_tail |= written.is_err();
+        written
+    })?;
+    // Time only the durability syscall, and only when telemetry is armed
+    // (`Instant::now` is not free on the unarmed path).
+    let started = telemetry::armed().then(std::time::Instant::now);
+    file.fsync().map_err(|e| storage_fault(StorageOp::Fsync, &e, retries))?;
+    if let Some(t) = started {
+        telemetry::ckpt_fsync_micros(t.elapsed().as_micros() as u64);
     }
+    *dirty_tail = false;
+    Ok(())
 }
 
 impl CheckpointWriter {
@@ -511,33 +533,16 @@ impl CheckpointWriter {
     }
 
     fn open(path: &Path, backend: &dyn StorageBackend, append: bool) -> CheckpointWriter {
-        let policy = IoRetryPolicy::default();
-        let mut attempt = 0u32;
-        let state = loop {
-            let opened = if append { backend.open_append(path) } else { backend.create(path) };
-            match opened {
-                Ok(file) => break WriterState { file: Some(file), quarantined: None, dirty_tail: false },
-                Err(e) if classify(e.kind()) == FaultClass::Transient && policy.should_retry(attempt) => {
-                    telemetry::ckpt_io_retry();
-                    std::thread::sleep(std::time::Duration::from_millis(policy.backoff_ms(attempt)));
-                    attempt += 1;
-                }
-                Err(e) => {
-                    telemetry::ckpt_journal_quarantined();
-                    break WriterState {
-                        file: None,
-                        quarantined: Some(StorageFault {
-                            op: if append { StorageOp::Open } else { StorageOp::Create },
-                            kind: e.kind(),
-                            detail: e.to_string(),
-                            retries: attempt,
-                        }),
-                        dirty_tail: false,
-                    };
-                }
+        let op = if append { StorageOp::Open } else { StorageOp::Create };
+        let opened = with_retry(op, || if append { backend.open_append(path) } else { backend.create(path) });
+        let state = match opened {
+            Ok((file, _)) => WriterState { file: Some(file), quarantined: None, dirty_tail: false },
+            Err(fault) => {
+                Counter::CkptJournalQuarantined.add(1);
+                WriterState { file: None, quarantined: Some(fault), dirty_tail: false }
             }
         };
-        CheckpointWriter { path: path.to_owned(), policy, inner: Mutex::new(state) }
+        CheckpointWriter { path: path.to_owned(), inner: Mutex::new(state) }
     }
 
     /// The fault that quarantined this writer, if storage failed fatally.
@@ -576,7 +581,7 @@ impl CheckpointWriter {
     /// nothing.
     ///
     /// Storage faults never surface: transients are retried per the
-    /// writer's [`IoRetryPolicy`], and a fatal fault quarantines the writer,
+    /// default [`IoRetryPolicy`], and a fatal fault quarantines the writer,
     /// which drops this batch and every later one (see
     /// [`CheckpointWriter::quarantine`]).
     pub(crate) fn append_lines(&self, lines: &[String]) {
@@ -592,16 +597,15 @@ impl CheckpointWriter {
         if st.quarantined.is_some() {
             return;
         }
-        match write_durable_lines(&mut st, &self.policy, &framed) {
+        match write_durable_lines(&mut st, &framed) {
             Ok(()) => {
-                for line in lines {
-                    telemetry::ckpt_line_written(line.len() as u64 + 1);
-                }
+                Counter::CkptLines.add(lines.len() as u64);
+                Counter::CkptBytes.add(framed.len() as u64);
             }
             Err(fault) => {
                 st.file = None;
                 st.quarantined = Some(fault);
-                telemetry::ckpt_journal_quarantined();
+                Counter::CkptJournalQuarantined.add(1);
             }
         }
     }
@@ -609,8 +613,8 @@ impl CheckpointWriter {
 
 /// Validates a self-hashed journal object: its `hash` field must equal the
 /// FNV-1a hash of the object with that field blanked. Job-state transitions
-/// are hashed this way, mirroring the row hash on point records.
-pub(crate) fn self_hash_valid(v: &Json) -> bool {
+/// are hashed this way ([`JournalLine::transition`]).
+fn self_hash_valid(v: &Json) -> bool {
     let (Json::Obj(pairs), Some(hash)) = (v, v.get("hash").and_then(Json::as_str)) else {
         return false;
     };
@@ -638,22 +642,15 @@ pub(crate) fn self_hash_valid(v: &Json) -> bool {
 /// `examples/chaos_soak.rs` uses the same keys to prove no fsynced record
 /// was lost across a crash.
 pub fn journal_line_key(line: &str) -> Option<String> {
-    let v = report::parse(line).ok()?;
-    if v.get("kind").and_then(Json::as_str) == Some("transition") {
-        if !self_hash_valid(&v) {
-            return None;
+    // The key namespaces each record by its own identity, so records from
+    // different sweeps or jobs can share a file (the job journal).
+    Some(match JournalLine::parse(line)? {
+        JournalLine::Record { scope, base_seed, record } => {
+            format!("point/{scope}/{base_seed}/{}", record.point)
         }
-        let job_id = v.get("job_id").and_then(Json::as_str)?;
-        let status = v.get("status").and_then(Json::as_str)?;
-        let slot = if status == "admitted" { "admitted" } else { "terminal" };
-        return Some(format!("transition/{job_id}/{slot}"));
-    }
-    let (scope, seed) =
-        (v.get("experiment").and_then(Json::as_str)?, v.get("base_seed").and_then(Json::as_u64)?);
-    // Parse under the line's own identity: the key namespaces the scope, so
-    // records from different sweeps/jobs can share a file (the job journal).
-    let rec = CheckpointRecord::from_line(line, Path::new(""), scope, seed).ok()??;
-    Some(format!("point/{scope}/{seed}/{}", rec.point))
+        JournalLine::Admitted { job_id, .. } => format!("transition/{job_id}/admitted"),
+        JournalLine::Finished { job_id, .. } => format!("transition/{job_id}/terminal"),
+    })
 }
 
 /// What [`repair_journal`] did to the file.
@@ -674,8 +671,10 @@ pub struct RepairSummary {
 /// Repairs and compacts a journal in place, through `backend` ([`REAL_FS`]
 /// for the real filesystem): keeps only self-hash-valid lines, collapses
 /// each logical slot (see [`journal_line_key`]) to its last valid line, and
-/// atomically renames the rewritten file over the original. Slot order
-/// follows first appearance, so admissions still precede their records.
+/// atomically renames the rewritten file over the original. The kept lines
+/// stay in file order, so a repaired journal replays as the original does:
+/// a job's admission line starts its history afresh, and each slot's last
+/// line stays on the same side of it.
 ///
 /// Unlike the lenient loaders this returns real errors: a repair that
 /// cannot read, durably write, or rename has repaired nothing.
@@ -691,23 +690,18 @@ pub fn repair_journal(path: &Path, backend: &dyn StorageBackend) -> Result<Repai
             return Err(io_error(path, &e));
         }
     };
-    let mut order: Vec<String> = Vec::new();
-    let mut slots: BTreeMap<String, &str> = BTreeMap::new();
-    let mut lines_seen = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
+    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    let mut last: BTreeMap<String, usize> = BTreeMap::new();
+    for (i, line) in lines.iter().enumerate() {
+        if let Some(key) = journal_line_key(line) {
+            last.insert(key, i);
         }
-        lines_seen += 1;
-        let Some(key) = journal_line_key(line) else { continue };
-        if !slots.contains_key(&key) {
-            order.push(key.clone());
-        }
-        slots.insert(key, line);
     }
+    let mut kept: Vec<usize> = last.into_values().collect();
+    kept.sort_unstable();
     let mut compacted = String::with_capacity(text.len());
-    for key in &order {
-        compacted.push_str(slots[key]);
+    for &i in &kept {
+        compacted.push_str(lines[i]);
         compacted.push('\n');
     }
     // Write the compacted journal beside the original, fsync it, then
@@ -718,18 +712,17 @@ pub fn repair_journal(path: &Path, backend: &dyn StorageBackend) -> Result<Repai
         let e = std::io::Error::new(fault.kind, fault.detail);
         io_error(&staging, &e)
     };
-    let policy = IoRetryPolicy::default();
     let mut st = match backend.create(&staging) {
         Ok(file) => WriterState { file: Some(file), quarantined: None, dirty_tail: false },
         Err(e) => return Err(io_error(&staging, &e)),
     };
-    write_durable_lines(&mut st, &policy, compacted.as_bytes()).map_err(fault_err)?;
+    write_durable_lines(&mut st, compacted.as_bytes()).map_err(fault_err)?;
     drop(st);
     backend.rename(&staging, path).map_err(|e| io_error(path, &e))?;
     Ok(RepairSummary {
-        lines_seen,
-        kept: order.len(),
-        dropped: lines_seen - order.len(),
+        lines_seen: lines.len(),
+        kept: kept.len(),
+        dropped: lines.len() - kept.len(),
         bytes_before: text.len() as u64,
         bytes_after: compacted.len() as u64,
     })
@@ -891,7 +884,7 @@ where
         }
     }
     let resumed_points = slots.len();
-    telemetry::points_resumed(resumed_points as u64);
+    Counter::PointsResumed.add(resumed_points as u64);
 
     let todo: Vec<(usize, &P)> = points.iter().enumerate().filter(|(i, _)| !slots.contains_key(i)).collect();
     let writer = if cfg.resume {
@@ -1100,6 +1093,25 @@ mod tests {
         assert!(err.to_string().contains("different sweep"), "{err}");
         let err = Manifest::load(&path, &REAL_FS, "other", 7).unwrap_err();
         assert!(matches!(err, CheckpointError::WrongSweep { .. }), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_line_is_skipped_whatever_sweep_it_names() {
+        let path = temp_path("damaged-other-sweep");
+        let writer = CheckpointWriter::create(&path, &REAL_FS);
+        let rec = CheckpointRecord {
+            status: PointStatus::Completed,
+            row: Some(row(0)),
+            ..CheckpointRecord::cancelled(0)
+        };
+        writer.record("other", 8, &rec);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let tampered = text.replace("\"value\":0", "\"value\":1");
+        assert_ne!(tampered, text, "tamper target must exist");
+        std::fs::write(&path, tampered).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
+        assert_eq!((manifest.skipped_lines, manifest.records.len()), (1, 0));
         std::fs::remove_file(&path).unwrap();
     }
 

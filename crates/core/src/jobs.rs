@@ -13,8 +13,8 @@
 //! ## Containment
 //!
 //! Each point runs under the job's own supervisor
-//! ([`sweep::supervised_point`]): panics are retried with linear
-//! backoff up to the budget and then quarantined as poisoned, script faults
+//! ([`sweep::supervised_point`]): panics are retried at once up to the
+//! budget and then quarantined as poisoned, script faults
 //! are typed and final, and the per-point watchdog truncates over-budget
 //! simulations. None of these kill the queue — they fold into the job's
 //! [`JobOutcome`] as a [`JobStatus::Degraded`] verdict while every other
@@ -48,7 +48,11 @@
 //! Records are restored only for a job whose admission line survived, since
 //! that line carries the identity a resubmission is checked against: a job
 //! whose admission line was torn or damaged re-runs every point and
-//! journals its admission again.
+//! journals its admission again. On replay, each valid admission line
+//! starts its job's history afresh, so a resume restores only the lines
+//! journaled after the job's last admission, and
+//! [`repair_journal`](checkpoint::repair_journal) keeps lines in file order
+//! so a repaired journal replays the same.
 //!
 //! The journal rides through a [`StorageBackend`]
 //! (see [`chaosfs`](crate::chaosfs)): transient I/O faults are retried with
@@ -74,10 +78,10 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use malsim_kernel::sched::Watchdog;
 
 use crate::chaosfs::{StorageBackend, StorageFault, REAL_FS};
-use crate::checkpoint::{self, fnv1a64, CheckpointRecord, CheckpointWriter, PointStatus};
-use crate::report::{self, Json};
+use crate::checkpoint::{self, fnv1a64, CheckpointRecord, CheckpointWriter, JournalLine, PointStatus};
+use crate::report::Json;
 use crate::sweep::{self, PointRun, PoolConfig, ScriptFaultInfo, SweepCtx, SweepSupervisor};
-use crate::telemetry;
+use crate::telemetry::{self, Counter};
 
 /// Scheduling priority of a job, expressed as a weight in the weighted-fair
 /// queue: a `High` job receives 16× the dispatch share of a `Low` one when
@@ -130,9 +134,6 @@ pub struct JobBudget {
     pub deadline_ms: Option<u64>,
     /// Panic re-attempts per point before quarantining it as poisoned.
     pub retries: u32,
-    /// Linear backoff between panic re-attempts, in milliseconds (see
-    /// [`SweepSupervisor::retry_backoff_ms`]).
-    pub retry_backoff_ms: u64,
     /// Host-clock sleep before each point starts, in milliseconds. Zero in
     /// normal use; nonzero only to widen the kill window in resume drills.
     pub stagger_ms: u64,
@@ -147,7 +148,6 @@ impl JobBudget {
             deadline_ms: self.deadline_ms,
             check_invariants: false,
             stagger_ms: self.stagger_ms,
-            retry_backoff_ms: self.retry_backoff_ms,
         }
     }
 
@@ -401,7 +401,7 @@ impl JobStatus {
         }
     }
 
-    fn from_label(label: &str) -> Option<JobStatus> {
+    pub(crate) fn from_label(label: &str) -> Option<JobStatus> {
         match label {
             "completed" => Some(JobStatus::Completed),
             "degraded" => Some(JobStatus::Degraded),
@@ -578,25 +578,6 @@ struct JournalJob {
     records: BTreeMap<usize, CheckpointRecord>,
 }
 
-/// Builds one self-hashed transition line. The hash field covers the line
-/// with itself blanked, mirroring the row hash on point records.
-fn transition(spec: &JobSpec, status: &str) -> Json {
-    let fields = |hash: &str| {
-        Json::obj([
-            ("kind", "transition".into()),
-            ("job_id", spec.job_id.as_str().into()),
-            ("tenant", spec.tenant.as_str().into()),
-            ("experiment", spec.experiment.into()),
-            ("base_seed", Json::U64(spec.base_seed)),
-            ("status", status.into()),
-            ("identity", spec.identity_hash().into()),
-            ("hash", hash.into()),
-        ])
-    };
-    let hash = format!("{:016x}", fnv1a64(fields("").to_compact_string().as_bytes()));
-    fields(&hash)
-}
-
 /// What a journal replay recovered.
 #[derive(Debug, Default)]
 struct JournalLoad {
@@ -611,65 +592,37 @@ struct JournalLoad {
 /// failed hashes) are skipped and counted; a missing file is an empty
 /// journal; a fatal read fault degrades to an empty journal with the typed
 /// reason in [`JournalLoad::load_fault`].
+///
+/// A valid admission line starts its job's entry afresh. Lines before it
+/// belong to an earlier run of that job id whose admission line was lost, so
+/// no resubmission was ever checked against them.
 fn load_journal(path: &Path, backend: &dyn StorageBackend) -> JournalLoad {
     let text = match checkpoint::read_with_retry(path, backend) {
         Ok(Some(text)) => text,
         Ok(None) => return JournalLoad::default(),
         Err(fault) => {
-            telemetry::ckpt_journal_quarantined();
+            Counter::CkptJournalQuarantined.add(1);
             return JournalLoad { load_fault: Some(fault), ..JournalLoad::default() };
         }
     };
     let mut jobs: BTreeMap<String, JournalJob> = BTreeMap::new();
     let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(v) = report::parse(line) else {
-            skipped += 1;
-            continue;
-        };
-        if v.get("kind").and_then(Json::as_str) == Some("transition") {
-            // Integrity gate: the self-hash must cover the line with its own
-            // hash field blanked (shared with the repair pass).
-            let (Some(job_id), Some(status)) =
-                (v.get("job_id").and_then(Json::as_str), v.get("status").and_then(Json::as_str))
-            else {
-                skipped += 1;
-                continue;
-            };
-            if !checkpoint::self_hash_valid(&v) {
-                skipped += 1;
-                continue;
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        match JournalLine::parse(line) {
+            Some(JournalLine::Admitted { job_id, identity }) => {
+                jobs.insert(job_id, JournalJob { identity: Some(identity), ..JournalJob::default() });
             }
-            let entry = jobs.entry(job_id.to_owned()).or_default();
-            if status == "admitted" {
-                entry.identity = v.get("identity").and_then(Json::as_str).map(str::to_owned);
-            } else if let Some(s) = JobStatus::from_label(status) {
-                entry.terminal = Some(s);
-            } else {
-                skipped += 1;
+            Some(JournalLine::Finished { job_id, status }) => {
+                jobs.entry(job_id).or_default().terminal = Some(status)
             }
-        } else {
-            // A point record; its `experiment` field carries the job id, so
-            // parse it under the line's own identity (`from_line` still
-            // validates status and row hash, and cannot see a wrong sweep).
-            let (Some(job_id), Some(seed)) =
-                (v.get("experiment").and_then(Json::as_str), v.get("base_seed").and_then(Json::as_u64))
-            else {
-                skipped += 1;
-                continue;
-            };
-            match CheckpointRecord::from_line(line, path, job_id, seed) {
-                Ok(Some(rec)) => {
-                    jobs.entry(job_id.to_owned()).or_default().records.insert(rec.point, rec);
-                }
-                _ => skipped += 1,
+            // A point record's scope is its job id.
+            Some(JournalLine::Record { scope, record, .. }) => {
+                jobs.entry(scope).or_default().records.insert(record.point, record);
             }
+            None => skipped += 1,
         }
     }
-    telemetry::ckpt_damaged_lines(skipped as u64);
+    Counter::CkptDamagedLines.add(skipped as u64);
     JournalLoad { jobs, skipped, load_fault: None }
 }
 
@@ -748,7 +701,7 @@ impl Sched {
     /// Queues the journal line of one job-state transition.
     fn journal_transition(&mut self, spec: &JobSpec, status: &str) {
         if let Some(lines) = &mut self.journal {
-            lines.push(transition(spec, status).to_compact_string());
+            lines.push(JournalLine::transition(spec, status));
         }
     }
 }
@@ -817,7 +770,7 @@ impl JobQueue {
     /// of queueing them.
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobHandle, Rejected> {
         let reject = |reason| {
-            telemetry::jobs_rejected(&reason);
+            Counter::JobsRejected.add_at(telemetry::reject_index(&reason), 1);
             Rejected { job_id: spec.job_id.clone(), reason }
         };
         if spec.grid.is_empty() {
@@ -847,7 +800,8 @@ impl JobQueue {
         let handle = JobHandle { job_id: spec.job_id.clone(), token: token.clone() };
         self.specs.push(spec);
         self.tokens.push(token);
-        telemetry::jobs_admitted(self.specs.len());
+        Counter::JobsAdmitted.add(1);
+        Counter::JobsQueueDepthMax.high_water(self.specs.len() as u64);
         Ok(handle)
     }
 
@@ -901,7 +855,7 @@ impl JobQueue {
                         st.resumed += 1;
                     }
                 }
-                telemetry::points_resumed(st.resumed as u64);
+                Counter::PointsResumed.add(st.resumed as u64);
                 if entry.terminal == Some(JobStatus::Cancelled) {
                     // The job was cancelled before the kill; points lost in
                     // flight stay cancelled rather than re-running.
@@ -910,7 +864,7 @@ impl JobQueue {
                             let rec = CheckpointRecord::cancelled(idx);
                             sched.journal_record(spec, &rec);
                             slot.insert(rec);
-                            telemetry::jobs_cancelled_points(1);
+                            Counter::JobsCancelledPoints.add(1);
                         }
                     }
                 }
@@ -946,10 +900,10 @@ impl JobQueue {
                             sched.journal_record(spec, &copy);
                             st.records.insert(idx, copy);
                             st.cached += 1;
-                            telemetry::cache_hit();
+                            Counter::CacheHits.add(1);
                         }
                         ClaimState::Owner { .. } => {
-                            telemetry::cache_park();
+                            Counter::CacheParks.add(1);
                             st.parked.push((idx, addr));
                         }
                     },
@@ -997,7 +951,7 @@ impl JobQueue {
         // reason, out of band of the byte-stable reports.
         let storage_degraded = journal_fault.or_else(|| writer.and_then(|w| w.quarantine()));
         if storage_degraded.is_some() {
-            telemetry::jobs_degraded_storage(sched.jobs.len() as u64);
+            Counter::JobsDegradedStorage.add(sched.jobs.len() as u64);
         }
         let outcomes = specs
             .into_iter()
@@ -1196,7 +1150,7 @@ fn promote_or_drop(sched: &mut Sched, addr: &str) {
             st.pending.push_back(idx);
             sched.cache.get_mut(addr).expect("claim exists while parked on").state =
                 ClaimState::Owner { job: j, point: idx };
-            telemetry::cache_promotion();
+            Counter::CachePromotions.add(1);
             return;
         }
     }
@@ -1217,7 +1171,7 @@ fn settle(sched: &mut Sched, specs: &[JobSpec], tokens: &[CancelToken]) {
         sched.jobs[j].cancel_seen = true;
         let pending: Vec<usize> = sched.jobs[j].pending.drain(..).collect();
         let parked: Vec<(usize, String)> = std::mem::take(&mut sched.jobs[j].parked);
-        telemetry::jobs_cancelled_points((pending.len() + parked.len()) as u64);
+        Counter::JobsCancelledPoints.add((pending.len() + parked.len()) as u64);
         for &idx in pending.iter().chain(parked.iter().map(|(idx, _)| idx)) {
             let rec = CheckpointRecord::cancelled(idx);
             sched.journal_record(spec, &rec);
@@ -1250,7 +1204,7 @@ fn settle(sched: &mut Sched, specs: &[JobSpec], tokens: &[CancelToken]) {
                     sched.journal_record(spec, &copy);
                     sched.jobs[j].records.insert(idx, copy);
                     sched.jobs[j].cached += 1;
-                    telemetry::cache_hit();
+                    Counter::CacheHits.add(1);
                 }
                 _ => still.push((idx, addr)),
             }
@@ -1327,7 +1281,7 @@ mod tests {
     #[test]
     fn transition_lines_self_hash_and_survive_reload() {
         let s = spec("job-a", "tenant-a", 2);
-        let line = transition(&s, "admitted").to_compact_string();
+        let line = JournalLine::transition(&s, "admitted");
         let path = std::env::temp_dir().join(format!("malsim-jobs-transition-{}.jnl", std::process::id()));
         std::fs::write(&path, format!("{line}\n")).unwrap();
         let loaded = load_journal(&path, &REAL_FS);

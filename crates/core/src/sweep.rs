@@ -38,7 +38,7 @@ use malsim_kernel::invariant::InvariantViolation;
 use malsim_kernel::rng::SimRng;
 use malsim_kernel::sched::{ProfileSummary, StopReason, Watchdog};
 
-use crate::telemetry;
+use crate::telemetry::Counter;
 
 /// The identity of one sweep point: which experiment, which point index, and
 /// the sweep's base seed.
@@ -188,11 +188,6 @@ pub struct SweepSupervisor {
     /// Host-clock sleep before each point starts, in milliseconds. Zero in
     /// normal use; nonzero only to widen the kill window in resume drills.
     pub stagger_ms: u64,
-    /// Host-clock backoff between panic re-attempts, in milliseconds; the
-    /// sleep grows linearly with the attempt number (`backoff × attempts`).
-    /// Zero (the default) retries immediately. Backoff is pure pacing: it
-    /// never changes what a retried point computes.
-    pub retry_backoff_ms: u64,
 }
 
 impl SweepSupervisor {
@@ -368,12 +363,15 @@ where
         attempts += 1;
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_point(ctx, point))) {
             Ok(Ok(run)) => {
-                telemetry::points_retried(u64::from(attempts - 1));
-                telemetry::point_completed(run.truncation);
+                Counter::PointsRetried.add(u64::from(attempts - 1));
+                match run.truncation {
+                    None => Counter::PointsCompleted.add(1),
+                    Some(t) => Counter::PointsTruncated.add_at(t as usize, 1),
+                }
                 return PointOutcome::Completed { run, attempts };
             }
             Ok(Err(fault)) => {
-                telemetry::point_script_fault();
+                Counter::PointsScriptFaults.add(1);
                 return PointOutcome::ScriptFault {
                     script_id: fault.script_id,
                     error: fault.error,
@@ -383,8 +381,8 @@ where
             }
             Err(payload) => {
                 if attempts > supervisor.retries {
-                    telemetry::points_retried(u64::from(attempts - 1));
-                    telemetry::point_quarantined();
+                    Counter::PointsRetried.add(u64::from(attempts - 1));
+                    Counter::PointsQuarantined.add(1);
                     return PointOutcome::Poisoned {
                         panic_msg: panic_message(payload),
                         seed: ctx.derived_seed(),
@@ -392,10 +390,6 @@ where
                         params: format!("{point:?}"),
                         attempts,
                     };
-                }
-                if supervisor.retry_backoff_ms > 0 {
-                    let pause = supervisor.retry_backoff_ms.saturating_mul(u64::from(attempts));
-                    std::thread::sleep(std::time::Duration::from_millis(pause));
                 }
             }
         }

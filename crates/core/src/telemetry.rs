@@ -2,11 +2,14 @@
 //! and JSONL exposition.
 //!
 //! The registry is a fixed catalogue of counters, gauges, and fixed-bucket
-//! histograms held in static atomic cells — metric handles are `static`s, so
-//! recording never allocates and never takes a lock on the hot path (the one
+//! histograms held in static atomic cells. Each family is declared once, as
+//! one catalogue entry (name, help, kind, label set); the cells, [`reset`]
+//! and both exporters derive from it, and call sites record through the
+//! crate-internal `Counter` enum (`Counter::CacheHits.add(1)`). Recording
+//! never allocates and never takes a lock on the hot path (the one
 //! label-keyed map, WFQ lag, is written only at run boundaries). Like the
 //! profiler and the invariant checker, the whole plane is opt-in: until
-//! [`arm`] is called every record function returns after a single branch,
+//! [`arm`] is called every recording call returns after a single branch,
 //! and the kernel-side dispatch hook is never installed, so un-instrumented
 //! processes pay one `Option` check per dispatched event and nothing else.
 //!
@@ -63,10 +66,8 @@ use malsim_kernel::queue::QueueStats;
 use malsim_kernel::telemetry::TelemetryHook;
 use malsim_kernel::trace::TraceCategory;
 
-use crate::chaosfs::IoFaultKind;
 use crate::jobs::RejectReason;
 use crate::report::Json;
-use crate::sweep::Truncation;
 
 // ---------------------------------------------------------------------------
 // Cells
@@ -145,54 +146,292 @@ impl<const N: usize> Hist<N> {
 }
 
 // ---------------------------------------------------------------------------
-// The registry
+// The catalogue
 // ---------------------------------------------------------------------------
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+/// A metric family held in registry cells. Each variant has one
+/// [`CATALOGUE`] entry giving its name, help text, kind and label set; call
+/// sites record through the variant, e.g. `Counter::CacheHits.add(1)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Counter {
+    SchedDispatches,
+    SchedQueueDepthMax,
+    QueueTombstoneReaps,
+    JobsAdmitted,
+    JobsRejected,
+    JobsQueueDepthMax,
+    JobsCancelledPoints,
+    PointsCompleted,
+    PointsTruncated,
+    PointsRetried,
+    PointsQuarantined,
+    PointsScriptFaults,
+    PointsResumed,
+    CacheHits,
+    CacheParks,
+    CachePromotions,
+    CkptLines,
+    CkptBytes,
+    CkptDamagedLines,
+    ChaosFaultsInjected,
+    CkptIoRetries,
+    CkptJournalQuarantined,
+    JobsDegradedStorage,
+}
 
-/// Index of the "untraced" slot in [`SCHED_DISPATCHES`].
+/// Where a family's values live.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// The counter's row of registry cells, one per label (cell 0 for an
+    /// unlabelled family).
+    Cells(Counter),
+    /// The per-tenant WFQ-lag map, [`WFQ_LAG`].
+    WfqLag,
+    /// The fsync latency histogram, [`FSYNC_HIST`]; host-clock, so wall.
+    FsyncHist,
+}
+
+/// One metric family. Both exporters render from the catalogue, so the JSON
+/// snapshot and the Prometheus exposition can never disagree about names,
+/// label sets, or determinism classification.
+#[derive(Debug)]
+struct Family {
+    source: Source,
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    /// The label key; empty for an unlabelled family.
+    key: &'static str,
+    /// The fixed label values in export order, indexed by the recording
+    /// call's `label`; empty for an unlabelled family or the tenant map.
+    labels: &'static [&'static str],
+}
+
+impl Family {
+    const fn scalar(counter: Counter, name: &'static str, kind: &'static str, help: &'static str) -> Family {
+        Family::labeled(counter, name, kind, help, "", &[])
+    }
+
+    const fn labeled(
+        counter: Counter,
+        name: &'static str,
+        kind: &'static str,
+        help: &'static str,
+        key: &'static str,
+        labels: &'static [&'static str],
+    ) -> Family {
+        Family { source: Source::Cells(counter), name, kind, help, key, labels }
+    }
+}
+
+/// Dispatch labels: each trace category by name, in declaration order (so
+/// `category as usize` indexes them), then `untraced` at [`UNTRACED`].
+const DISPATCH_LABELS: [&str; UNTRACED + 1] = {
+    let mut labels = ["untraced"; UNTRACED + 1];
+    let mut i = 0;
+    while i < UNTRACED {
+        labels[i] = TraceCategory::ALL[i].name();
+        i += 1;
+    }
+    labels
+};
+
+/// Index of the "untraced" dispatch label.
 const UNTRACED: usize = TraceCategory::ALL.len();
 
-/// Fsync latency bucket bounds, in microseconds.
-const FSYNC_BOUNDS_US: [u64; 10] = [50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000];
-
-/// Rejection-reason labels, in admission-check order (must stay in sync with
+/// Rejection-reason labels, in admission-check order (indexed by
 /// [`reject_index`]).
 const REJECT_REASONS: [&str; 5] =
     ["empty_grid", "grid_too_large", "duplicate_job_id", "queue_full", "journal_mismatch"];
 
-/// Truncation-kind labels (must stay in sync with [`truncation_index`]).
+/// Truncation-kind labels, indexed by `Truncation as usize`.
 const TRUNCATION_KINDS: [&str; 2] = ["event_budget", "host_deadline"];
 
-/// Injected-storage-fault labels (must stay in sync with
-/// [`IoFaultKind::ALL`]; the unit tests assert the correspondence).
+/// Injected-storage-fault labels, indexed by `IoFaultKind as usize`.
 const CHAOS_KINDS: [&str; 7] =
     ["fsync_fail", "short_write", "torn_write", "disk_full", "eintr", "open_fail", "read_fail"];
 
-static SCHED_DISPATCHES: [Cell; TraceCategory::ALL.len() + 1] =
-    [const { Cell::new() }; TraceCategory::ALL.len() + 1];
-static SCHED_QUEUE_DEPTH_MAX: Cell = Cell::new();
-static QUEUE_TOMBSTONE_REAPS: Cell = Cell::new();
-static JOBS_ADMITTED: Cell = Cell::new();
-static JOBS_REJECTED: [Cell; REJECT_REASONS.len()] = [const { Cell::new() }; REJECT_REASONS.len()];
-static JOBS_QUEUE_DEPTH_MAX: Cell = Cell::new();
-static JOBS_CANCELLED_POINTS: Cell = Cell::new();
-static POINTS_COMPLETED: Cell = Cell::new();
-static POINTS_TRUNCATED: [Cell; TRUNCATION_KINDS.len()] = [const { Cell::new() }; TRUNCATION_KINDS.len()];
-static POINTS_RETRIED: Cell = Cell::new();
-static POINTS_QUARANTINED: Cell = Cell::new();
-static POINTS_SCRIPT_FAULTS: Cell = Cell::new();
-static POINTS_RESUMED: Cell = Cell::new();
-static CACHE_HITS: Cell = Cell::new();
-static CACHE_PARKS: Cell = Cell::new();
-static CACHE_PROMOTIONS: Cell = Cell::new();
-static CKPT_LINES: Cell = Cell::new();
-static CKPT_BYTES: Cell = Cell::new();
-static CKPT_DAMAGED_LINES: Cell = Cell::new();
-static CHAOS_FAULTS: [Cell; CHAOS_KINDS.len()] = [const { Cell::new() }; CHAOS_KINDS.len()];
-static CKPT_IO_RETRIES: Cell = Cell::new();
-static CKPT_JOURNAL_QUARANTINED: Cell = Cell::new();
-static JOBS_DEGRADED_STORAGE: Cell = Cell::new();
+/// Every metric family, in export order.
+const CATALOGUE: [Family; 25] = [
+    Family::labeled(
+        Counter::SchedDispatches,
+        "malsim_sched_dispatches_total",
+        "counter",
+        "Events dispatched by the kernel scheduler, by trace-category attribution.",
+        "category",
+        &DISPATCH_LABELS,
+    ),
+    Family::scalar(
+        Counter::SchedQueueDepthMax,
+        "malsim_sched_queue_depth_max",
+        "gauge",
+        "Largest pre-dispatch pending-event queue depth observed in any simulation.",
+    ),
+    // Named after the calendar queue `kernel::queue` replaced: perfbench
+    // and `bench_sweep` read the family under this name.
+    Family::scalar(
+        Counter::QueueTombstoneReaps,
+        "malsim_calq_tombstone_reaps_total",
+        "counter",
+        "Cancelled events physically reclaimed from the event queue.",
+    ),
+    Family::scalar(
+        Counter::JobsAdmitted,
+        "malsim_jobs_admitted_total",
+        "counter",
+        "Jobs accepted by queue admission control.",
+    ),
+    Family::labeled(
+        Counter::JobsRejected,
+        "malsim_jobs_rejected_total",
+        "counter",
+        "Jobs turned away at admission, by reason.",
+        "reason",
+        &REJECT_REASONS,
+    ),
+    Family::scalar(
+        Counter::JobsQueueDepthMax,
+        "malsim_jobs_queue_depth_max",
+        "gauge",
+        "High-water mark of jobs admitted to one queue.",
+    ),
+    Family {
+        source: Source::WfqLag,
+        name: "malsim_jobs_wfq_lag",
+        kind: "gauge",
+        help: "Per-tenant virtual-time lag behind the fleet minimum at the end of a queue run.",
+        key: "tenant",
+        labels: &[],
+    },
+    Family::scalar(
+        Counter::JobsCancelledPoints,
+        "malsim_jobs_cancelled_points_total",
+        "counter",
+        "Grid points marked cancelled before they ran.",
+    ),
+    Family::scalar(
+        Counter::PointsCompleted,
+        "malsim_points_completed_total",
+        "counter",
+        "Supervised points that completed untruncated.",
+    ),
+    Family::labeled(
+        Counter::PointsTruncated,
+        "malsim_points_truncated_total",
+        "counter",
+        "Supervised points cut short by the watchdog, by limit kind.",
+        "kind",
+        &TRUNCATION_KINDS,
+    ),
+    Family::scalar(
+        Counter::PointsRetried,
+        "malsim_points_retried_total",
+        "counter",
+        "Extra attempts burned re-running panicking points.",
+    ),
+    Family::scalar(
+        Counter::PointsQuarantined,
+        "malsim_points_quarantined_total",
+        "counter",
+        "Points quarantined as poisoned after exhausting their retry budget.",
+    ),
+    Family::scalar(
+        Counter::PointsScriptFaults,
+        "malsim_points_script_faults_total",
+        "counter",
+        "Points that failed with a typed scenario-script fault.",
+    ),
+    Family::scalar(
+        Counter::PointsResumed,
+        "malsim_points_resumed_total",
+        "counter",
+        "Points restored from a checkpoint or journal instead of re-running.",
+    ),
+    Family::scalar(
+        Counter::CacheHits,
+        "malsim_cache_hits_total",
+        "counter",
+        "Points served a copy of another point's record from the result cache.",
+    ),
+    Family::scalar(
+        Counter::CacheParks,
+        "malsim_cache_parks_total",
+        "counter",
+        "Duplicate points parked on another job's in-flight evaluation.",
+    ),
+    Family::scalar(
+        Counter::CachePromotions,
+        "malsim_cache_promotions_total",
+        "counter",
+        "Parked duplicates promoted to evaluator after their owner's claim was orphaned.",
+    ),
+    Family::scalar(
+        Counter::CkptLines,
+        "malsim_ckpt_lines_total",
+        "counter",
+        "Checkpoint/journal lines written (each flushed and fsynced).",
+    ),
+    Family::scalar(
+        Counter::CkptBytes,
+        "malsim_ckpt_bytes_total",
+        "counter",
+        "Checkpoint/journal bytes written, including newlines.",
+    ),
+    Family::scalar(
+        Counter::CkptDamagedLines,
+        "malsim_ckpt_damaged_lines_total",
+        "counter",
+        "Damaged (torn or hash-failed) lines skipped while replaying checkpoints and journals.",
+    ),
+    Family::labeled(
+        Counter::ChaosFaultsInjected,
+        "malsim_chaos_faults_injected_total",
+        "counter",
+        "Storage faults injected by the chaos backend, by kind.",
+        "kind",
+        &CHAOS_KINDS,
+    ),
+    Family::scalar(
+        Counter::CkptIoRetries,
+        "malsim_ckpt_io_retries_total",
+        "counter",
+        "Transient storage faults retried with backoff by the checkpoint layer.",
+    ),
+    Family::scalar(
+        Counter::CkptJournalQuarantined,
+        "malsim_ckpt_journal_quarantined_total",
+        "counter",
+        "Checkpoint/journal files quarantined after a fatal storage fault.",
+    ),
+    Family::scalar(
+        Counter::JobsDegradedStorage,
+        "malsim_jobs_degraded_storage_total",
+        "counter",
+        "Jobs whose journal persistence degraded under a fatal storage fault.",
+    ),
+    Family {
+        source: Source::FsyncHist,
+        name: "malsim_ckpt_fsync_micros",
+        kind: "histogram",
+        help: "Latency of each checkpoint-line or job-journal-batch fsync, in microseconds.",
+        key: "",
+        labels: &[],
+    },
+];
+
+/// Cells per family: enough for the largest label set, the dispatch
+/// categories (checked by the catalogue unit test).
+const MAX_LABELS: usize = DISPATCH_LABELS.len();
+
+/// One row of cells per [`Counter`], indexed by label; an unlabelled family
+/// uses cell 0. Every counter has a catalogue entry, so the catalogue has at
+/// least as many entries as there are counters.
+static CELLS: [[Cell; MAX_LABELS]; CATALOGUE.len()] =
+    [const { [const { Cell::new() }; MAX_LABELS] }; CATALOGUE.len()];
+
+/// Fsync latency bucket bounds, in microseconds.
+const FSYNC_BOUNDS_US: [u64; 10] = [50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000];
+
 static FSYNC_HIST: Hist<{ FSYNC_BOUNDS_US.len() }> = Hist::new(FSYNC_BOUNDS_US);
 
 /// Per-tenant WFQ lag behind the fleet's minimum virtual time; written once
@@ -209,6 +448,61 @@ struct JsonlSink {
 }
 
 // ---------------------------------------------------------------------------
+// Recording
+// ---------------------------------------------------------------------------
+
+impl Counter {
+    /// Adds `n` to an unlabelled family.
+    pub(crate) fn add(self, n: u64) {
+        self.add_at(0, n);
+    }
+
+    /// Adds `n` to the sample of `label`, an index into the family's label
+    /// set.
+    pub(crate) fn add_at(self, label: usize, n: u64) {
+        if armed() {
+            self.cell(label).add(n);
+        }
+    }
+
+    /// Raises an unlabelled gauge to at least `v`.
+    pub(crate) fn high_water(self, v: u64) {
+        if armed() {
+            self.cell(0).high_water(v);
+        }
+    }
+
+    fn cell(self, label: usize) -> &'static Cell {
+        &CELLS[self as usize][label]
+    }
+}
+
+/// The label index of a rejection in `malsim_jobs_rejected_total`.
+pub(crate) fn reject_index(reason: &RejectReason) -> usize {
+    match reason {
+        RejectReason::EmptyGrid => 0,
+        RejectReason::GridTooLarge { .. } => 1,
+        RejectReason::DuplicateJobId => 2,
+        RejectReason::QueueFull { .. } => 3,
+        RejectReason::JournalMismatch { .. } => 4,
+    }
+}
+
+/// Records one tenant's end-of-run WFQ lag.
+pub(crate) fn wfq_lag_set(tenant: &str, lag: u64) {
+    if armed() {
+        lock(&WFQ_LAG).insert(tenant.to_owned(), lag);
+    }
+}
+
+/// Records one fsync's latency.
+pub(crate) fn ckpt_fsync_micros(us: u64) {
+    if armed() {
+        FSYNC_HIST.observe(us);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Arming
 // ---------------------------------------------------------------------------
 
@@ -218,22 +512,18 @@ struct KernelHook;
 
 impl TelemetryHook for KernelHook {
     fn dispatch(&self, category: Option<TraceCategory>, queue_depth: usize) {
-        if !armed() {
-            return;
-        }
-        SCHED_DISPATCHES[category.map_or(UNTRACED, |c| c as usize)].add(1);
-        SCHED_QUEUE_DEPTH_MAX.high_water(queue_depth as u64);
+        Counter::SchedDispatches.add_at(category.map_or(UNTRACED, |c| c as usize), 1);
+        Counter::SchedQueueDepthMax.high_water(queue_depth as u64);
     }
 
     fn queue_stats(&self, delta: QueueStats) {
-        if !armed() {
-            return;
-        }
-        QUEUE_TOMBSTONE_REAPS.add(delta.tombstone_reaps);
+        Counter::QueueTombstoneReaps.add(delta.tombstone_reaps);
     }
 }
 
 static HOOK: KernelHook = KernelHook;
+
+static ARMED: AtomicBool = AtomicBool::new(false);
 
 /// Arms the registry and installs the kernel dispatch hook.
 ///
@@ -265,37 +555,9 @@ pub fn armed() -> bool {
 /// that assert exact values must reset first (and must not share a process
 /// with unrelated instrumented work).
 pub fn reset() {
-    for c in &SCHED_DISPATCHES {
+    for c in CELLS.iter().flatten() {
         c.clear();
     }
-    SCHED_QUEUE_DEPTH_MAX.clear();
-    QUEUE_TOMBSTONE_REAPS.clear();
-    JOBS_ADMITTED.clear();
-    for c in &JOBS_REJECTED {
-        c.clear();
-    }
-    JOBS_QUEUE_DEPTH_MAX.clear();
-    JOBS_CANCELLED_POINTS.clear();
-    POINTS_COMPLETED.clear();
-    for c in &POINTS_TRUNCATED {
-        c.clear();
-    }
-    POINTS_RETRIED.clear();
-    POINTS_QUARANTINED.clear();
-    POINTS_SCRIPT_FAULTS.clear();
-    POINTS_RESUMED.clear();
-    CACHE_HITS.clear();
-    CACHE_PARKS.clear();
-    CACHE_PROMOTIONS.clear();
-    CKPT_LINES.clear();
-    CKPT_BYTES.clear();
-    CKPT_DAMAGED_LINES.clear();
-    for c in &CHAOS_FAULTS {
-        c.clear();
-    }
-    CKPT_IO_RETRIES.clear();
-    CKPT_JOURNAL_QUARANTINED.clear();
-    JOBS_DEGRADED_STORAGE.clear();
     FSYNC_HIST.clear();
     lock(&WFQ_LAG).clear();
     *lock(&JSONL) = None;
@@ -306,377 +568,47 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// Recorders (crate-internal instrumentation surface)
+// Exporters
 // ---------------------------------------------------------------------------
 
-fn reject_index(reason: &RejectReason) -> usize {
-    match reason {
-        RejectReason::EmptyGrid => 0,
-        RejectReason::GridTooLarge { .. } => 1,
-        RejectReason::DuplicateJobId => 2,
-        RejectReason::QueueFull { .. } => 3,
-        RejectReason::JournalMismatch { .. } => 4,
-    }
-}
-
-fn truncation_index(t: Truncation) -> usize {
-    match t {
-        Truncation::EventBudget => 0,
-        Truncation::HostDeadline => 1,
-    }
-}
-
-pub(crate) fn jobs_admitted(queue_depth: usize) {
-    if !armed() {
-        return;
-    }
-    JOBS_ADMITTED.add(1);
-    JOBS_QUEUE_DEPTH_MAX.high_water(queue_depth as u64);
-}
-
-pub(crate) fn jobs_rejected(reason: &RejectReason) {
-    if !armed() {
-        return;
-    }
-    JOBS_REJECTED[reject_index(reason)].add(1);
-}
-
-pub(crate) fn jobs_cancelled_points(n: u64) {
-    if !armed() {
-        return;
-    }
-    JOBS_CANCELLED_POINTS.add(n);
-}
-
-pub(crate) fn wfq_lag_set(tenant: &str, lag: u64) {
-    if !armed() {
-        return;
-    }
-    lock(&WFQ_LAG).insert(tenant.to_owned(), lag);
-}
-
-pub(crate) fn point_completed(truncation: Option<Truncation>) {
-    if !armed() {
-        return;
-    }
-    match truncation {
-        None => POINTS_COMPLETED.add(1),
-        Some(t) => POINTS_TRUNCATED[truncation_index(t)].add(1),
-    }
-}
-
-pub(crate) fn points_retried(n: u64) {
-    if !armed() || n == 0 {
-        return;
-    }
-    POINTS_RETRIED.add(n);
-}
-
-pub(crate) fn point_quarantined() {
-    if !armed() {
-        return;
-    }
-    POINTS_QUARANTINED.add(1);
-}
-
-pub(crate) fn point_script_fault() {
-    if !armed() {
-        return;
-    }
-    POINTS_SCRIPT_FAULTS.add(1);
-}
-
-pub(crate) fn points_resumed(n: u64) {
-    if !armed() {
-        return;
-    }
-    POINTS_RESUMED.add(n);
-}
-
-pub(crate) fn cache_hit() {
-    if !armed() {
-        return;
-    }
-    CACHE_HITS.add(1);
-}
-
-pub(crate) fn cache_park() {
-    if !armed() {
-        return;
-    }
-    CACHE_PARKS.add(1);
-}
-
-pub(crate) fn cache_promotion() {
-    if !armed() {
-        return;
-    }
-    CACHE_PROMOTIONS.add(1);
-}
-
-pub(crate) fn ckpt_line_written(bytes: u64) {
-    if !armed() {
-        return;
-    }
-    CKPT_LINES.add(1);
-    CKPT_BYTES.add(bytes);
-}
-
-pub(crate) fn ckpt_fsync_micros(us: u64) {
-    if !armed() {
-        return;
-    }
-    FSYNC_HIST.observe(us);
-}
-
-pub(crate) fn ckpt_damaged_lines(n: u64) {
-    if !armed() || n == 0 {
-        return;
-    }
-    CKPT_DAMAGED_LINES.add(n);
-}
-
-fn chaos_index(kind: IoFaultKind) -> usize {
-    match kind {
-        IoFaultKind::FsyncFail => 0,
-        IoFaultKind::ShortWrite => 1,
-        IoFaultKind::TornWrite => 2,
-        IoFaultKind::DiskFull => 3,
-        IoFaultKind::Eintr => 4,
-        IoFaultKind::OpenFail => 5,
-        IoFaultKind::ReadFail => 6,
-    }
-}
-
-pub(crate) fn chaos_fault_injected(kind: IoFaultKind) {
-    if !armed() {
-        return;
-    }
-    CHAOS_FAULTS[chaos_index(kind)].add(1);
-}
-
-pub(crate) fn ckpt_io_retry() {
-    if !armed() {
-        return;
-    }
-    CKPT_IO_RETRIES.add(1);
-}
-
-pub(crate) fn ckpt_journal_quarantined() {
-    if !armed() {
-        return;
-    }
-    CKPT_JOURNAL_QUARANTINED.add(1);
-}
-
-pub(crate) fn jobs_degraded_storage(n: u64) {
-    if !armed() || n == 0 {
-        return;
-    }
-    JOBS_DEGRADED_STORAGE.add(n);
-}
-
-// ---------------------------------------------------------------------------
-// Catalogue and exporters
-// ---------------------------------------------------------------------------
-
-/// One metric's value in the export catalogue.
+/// One family's samples, read from its source.
 enum Value {
     Int(u64),
-    Labeled { key: &'static str, items: Vec<(String, u64)> },
+    Labeled(Vec<(String, u64)>),
     Hist { bounds: &'static [u64], counts: Vec<u64>, sum: u64, count: u64 },
 }
 
-/// One metric in the export catalogue; both exporters render from this, so
-/// the JSON snapshot and the Prometheus exposition can never disagree about
-/// names, label sets, or determinism classification.
-struct Metric {
-    name: &'static str,
-    help: &'static str,
-    kind: &'static str,
-    deterministic: bool,
-    value: Value,
-}
+impl Family {
+    /// Whether the family belongs in the `"deterministic"` section.
+    fn deterministic(&self) -> bool {
+        !matches!(self.source, Source::FsyncHist)
+    }
 
-fn dispatch_items() -> Vec<(String, u64)> {
-    let mut items: Vec<(String, u64)> = TraceCategory::ALL
-        .iter()
-        .map(|c| (c.name().to_owned(), SCHED_DISPATCHES[*c as usize].get()))
-        .collect();
-    items.push(("untraced".to_owned(), SCHED_DISPATCHES[UNTRACED].get()));
-    items
-}
-
-fn labeled_from<const N: usize>(labels: [&str; N], cells: &[Cell; N]) -> Vec<(String, u64)> {
-    labels.iter().zip(cells).map(|(l, c)| ((*l).to_owned(), c.get())).collect()
-}
-
-/// Reads every cell into the fixed metric catalogue.
-fn collect() -> Vec<Metric> {
-    let counter = |name, help, cell: &Cell| Metric {
-        name,
-        help,
-        kind: "counter",
-        deterministic: true,
-        value: Value::Int(cell.get()),
-    };
-    vec![
-        Metric {
-            name: "malsim_sched_dispatches_total",
-            help: "Events dispatched by the kernel scheduler, by trace-category attribution.",
-            kind: "counter",
-            deterministic: true,
-            value: Value::Labeled { key: "category", items: dispatch_items() },
-        },
-        Metric {
-            name: "malsim_sched_queue_depth_max",
-            help: "Largest pre-dispatch pending-event queue depth observed in any simulation.",
-            kind: "gauge",
-            deterministic: true,
-            value: Value::Int(SCHED_QUEUE_DEPTH_MAX.get()),
-        },
-        // Named after the calendar queue `kernel::queue` replaced: perfbench
-        // and `bench_sweep` read the family under this name.
-        counter(
-            "malsim_calq_tombstone_reaps_total",
-            "Cancelled events physically reclaimed from the event queue.",
-            &QUEUE_TOMBSTONE_REAPS,
-        ),
-        counter("malsim_jobs_admitted_total", "Jobs accepted by queue admission control.", &JOBS_ADMITTED),
-        Metric {
-            name: "malsim_jobs_rejected_total",
-            help: "Jobs turned away at admission, by reason.",
-            kind: "counter",
-            deterministic: true,
-            value: Value::Labeled { key: "reason", items: labeled_from(REJECT_REASONS, &JOBS_REJECTED) },
-        },
-        Metric {
-            name: "malsim_jobs_queue_depth_max",
-            help: "High-water mark of jobs admitted to one queue.",
-            kind: "gauge",
-            deterministic: true,
-            value: Value::Int(JOBS_QUEUE_DEPTH_MAX.get()),
-        },
-        Metric {
-            name: "malsim_jobs_wfq_lag",
-            help: "Per-tenant virtual-time lag behind the fleet minimum at the end of a queue run.",
-            kind: "gauge",
-            deterministic: true,
-            value: Value::Labeled {
-                key: "tenant",
-                items: lock(&WFQ_LAG).iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            },
-        },
-        counter(
-            "malsim_jobs_cancelled_points_total",
-            "Grid points marked cancelled before they ran.",
-            &JOBS_CANCELLED_POINTS,
-        ),
-        counter(
-            "malsim_points_completed_total",
-            "Supervised points that completed untruncated.",
-            &POINTS_COMPLETED,
-        ),
-        Metric {
-            name: "malsim_points_truncated_total",
-            help: "Supervised points cut short by the watchdog, by limit kind.",
-            kind: "counter",
-            deterministic: true,
-            value: Value::Labeled { key: "kind", items: labeled_from(TRUNCATION_KINDS, &POINTS_TRUNCATED) },
-        },
-        counter(
-            "malsim_points_retried_total",
-            "Extra attempts burned re-running panicking points.",
-            &POINTS_RETRIED,
-        ),
-        counter(
-            "malsim_points_quarantined_total",
-            "Points quarantined as poisoned after exhausting their retry budget.",
-            &POINTS_QUARANTINED,
-        ),
-        counter(
-            "malsim_points_script_faults_total",
-            "Points that failed with a typed scenario-script fault.",
-            &POINTS_SCRIPT_FAULTS,
-        ),
-        counter(
-            "malsim_points_resumed_total",
-            "Points restored from a checkpoint or journal instead of re-running.",
-            &POINTS_RESUMED,
-        ),
-        counter(
-            "malsim_cache_hits_total",
-            "Points served a copy of another point's record from the result cache.",
-            &CACHE_HITS,
-        ),
-        counter(
-            "malsim_cache_parks_total",
-            "Duplicate points parked on another job's in-flight evaluation.",
-            &CACHE_PARKS,
-        ),
-        counter(
-            "malsim_cache_promotions_total",
-            "Parked duplicates promoted to evaluator after their owner's claim was orphaned.",
-            &CACHE_PROMOTIONS,
-        ),
-        counter(
-            "malsim_ckpt_lines_total",
-            "Checkpoint/journal lines written (each flushed and fsynced).",
-            &CKPT_LINES,
-        ),
-        counter(
-            "malsim_ckpt_bytes_total",
-            "Checkpoint/journal bytes written, including newlines.",
-            &CKPT_BYTES,
-        ),
-        counter(
-            "malsim_ckpt_damaged_lines_total",
-            "Damaged (torn or hash-failed) lines skipped while replaying checkpoints and journals.",
-            &CKPT_DAMAGED_LINES,
-        ),
-        Metric {
-            name: "malsim_chaos_faults_injected_total",
-            help: "Storage faults injected by the chaos backend, by kind.",
-            kind: "counter",
-            deterministic: true,
-            value: Value::Labeled { key: "kind", items: labeled_from(CHAOS_KINDS, &CHAOS_FAULTS) },
-        },
-        counter(
-            "malsim_ckpt_io_retries_total",
-            "Transient storage faults retried with backoff by the checkpoint layer.",
-            &CKPT_IO_RETRIES,
-        ),
-        counter(
-            "malsim_ckpt_journal_quarantined_total",
-            "Checkpoint/journal files quarantined after a fatal storage fault.",
-            &CKPT_JOURNAL_QUARANTINED,
-        ),
-        counter(
-            "malsim_jobs_degraded_storage_total",
-            "Jobs whose journal persistence degraded under a fatal storage fault.",
-            &JOBS_DEGRADED_STORAGE,
-        ),
-        Metric {
-            name: "malsim_ckpt_fsync_micros",
-            help: "Latency of each checkpoint-line or job-journal-batch fsync, in microseconds.",
-            kind: "histogram",
-            deterministic: false,
-            value: Value::Hist {
+    fn read(&self) -> Value {
+        match self.source {
+            Source::Cells(counter) if self.labels.is_empty() => Value::Int(counter.cell(0).get()),
+            Source::Cells(counter) => Value::Labeled(
+                self.labels
+                    .iter()
+                    .enumerate()
+                    .map(|(i, l)| ((*l).to_owned(), counter.cell(i).get()))
+                    .collect(),
+            ),
+            Source::WfqLag => Value::Labeled(lock(&WFQ_LAG).iter().map(|(k, v)| (k.clone(), *v)).collect()),
+            Source::FsyncHist => Value::Hist {
                 bounds: &FSYNC_HIST.bounds,
                 counts: FSYNC_HIST.counts(),
                 sum: FSYNC_HIST.sum.get(),
                 count: FSYNC_HIST.count.get(),
             },
-        },
-    ]
+        }
+    }
 }
 
 fn metric_json(value: &Value) -> Json {
     match value {
         Value::Int(n) => Json::U64(*n),
-        Value::Labeled { items, .. } => {
-            Json::Obj(items.iter().map(|(k, v)| (k.clone(), Json::U64(*v))).collect())
-        }
+        Value::Labeled(items) => Json::Obj(items.iter().map(|(k, v)| (k.clone(), Json::U64(*v))).collect()),
         Value::Hist { bounds, counts, sum, count } => {
             let mut cum = 0u64;
             let mut buckets: Vec<(String, Json)> = Vec::with_capacity(bounds.len() + 1);
@@ -700,10 +632,10 @@ fn metric_json(value: &Value) -> Json {
 /// and `MALSIM_THREADS` (see the module docs for the contract's caveats).
 pub fn deterministic_json() -> Json {
     Json::Obj(
-        collect()
+        CATALOGUE
             .iter()
-            .filter(|m| m.deterministic)
-            .map(|m| (m.name.to_owned(), metric_json(&m.value)))
+            .filter(|f| f.deterministic())
+            .map(|f| (f.name.to_owned(), metric_json(&f.read())))
             .collect(),
     )
 }
@@ -711,9 +643,9 @@ pub fn deterministic_json() -> Json {
 /// The full snapshot: `{"deterministic": {...}, "wall": {...}}`.
 pub fn snapshot() -> Json {
     let (mut det, mut wall) = (Vec::new(), Vec::new());
-    for m in collect() {
-        let section = if m.deterministic { &mut det } else { &mut wall };
-        section.push((m.name.to_owned(), metric_json(&m.value)));
+    for f in &CATALOGUE {
+        let section = if f.deterministic() { &mut det } else { &mut wall };
+        section.push((f.name.to_owned(), metric_json(&f.read())));
     }
     Json::obj([("deterministic", Json::Obj(det)), ("wall", Json::Obj(wall))])
 }
@@ -734,28 +666,28 @@ pub fn render_snapshot() -> String {
 /// closing `+Inf`.
 pub fn render_prometheus() -> String {
     let mut out = String::new();
-    for m in collect() {
-        let _ = writeln!(out, "# HELP {} {}", m.name, m.help);
-        let _ = writeln!(out, "# TYPE {} {}", m.name, m.kind);
-        match &m.value {
+    for f in &CATALOGUE {
+        let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
+        let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind);
+        match f.read() {
             Value::Int(n) => {
-                let _ = writeln!(out, "{} {}", m.name, n);
+                let _ = writeln!(out, "{} {}", f.name, n);
             }
-            Value::Labeled { key, items } => {
+            Value::Labeled(items) => {
                 for (label, v) in items {
-                    let _ = writeln!(out, "{}{{{}=\"{}\"}} {}", m.name, key, label, v);
+                    let _ = writeln!(out, "{}{{{}=\"{}\"}} {}", f.name, f.key, label, v);
                 }
             }
             Value::Hist { bounds, counts, sum, count } => {
                 let mut cum = 0u64;
                 for (i, b) in bounds.iter().enumerate() {
                     cum += counts[i];
-                    let _ = writeln!(out, "{}_bucket{{le=\"{}\"}} {}", m.name, b, cum);
+                    let _ = writeln!(out, "{}_bucket{{le=\"{}\"}} {}", f.name, b, cum);
                 }
                 cum += counts[bounds.len()];
-                let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", m.name, cum);
-                let _ = writeln!(out, "{}_sum {}", m.name, sum);
-                let _ = writeln!(out, "{}_count {}", m.name, count);
+                let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", f.name, cum);
+                let _ = writeln!(out, "{}_sum {}", f.name, sum);
+                let _ = writeln!(out, "{}_count {}", f.name, count);
             }
         }
     }
@@ -801,6 +733,8 @@ pub fn sample_boundary() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaosfs::IoFaultKind;
+    use crate::sweep::Truncation;
 
     // The registry is process-global and the core test binary runs many
     // instrumented tests in parallel, so exact end-to-end counts are
@@ -834,21 +768,30 @@ mod tests {
             })],
             "journal_mismatch"
         );
-        assert_eq!(TRUNCATION_KINDS[truncation_index(Truncation::EventBudget)], "event_budget");
-        assert_eq!(TRUNCATION_KINDS[truncation_index(Truncation::HostDeadline)], "host_deadline");
+        for t in [Truncation::EventBudget, Truncation::HostDeadline] {
+            assert_eq!(TRUNCATION_KINDS[t as usize], t.label());
+        }
+        assert_eq!(CHAOS_KINDS.len(), IoFaultKind::ALL.len());
+        for kind in IoFaultKind::ALL {
+            assert_eq!(CHAOS_KINDS[kind as usize], kind.label());
+        }
+        for c in TraceCategory::ALL {
+            assert_eq!(DISPATCH_LABELS[c as usize], c.name());
+        }
+        assert_eq!(DISPATCH_LABELS[UNTRACED], "untraced");
     }
 
     #[test]
     fn catalogue_families_are_unique_and_prefixed() {
-        let metrics = collect();
-        let mut names: Vec<&str> = metrics.iter().map(|m| m.name).collect();
+        let mut names: Vec<&str> = CATALOGUE.iter().map(|f| f.name).collect();
         names.sort_unstable();
         let before = names.len();
         names.dedup();
         assert_eq!(names.len(), before, "no duplicate families");
-        for m in &metrics {
-            assert!(m.name.starts_with("malsim_"), "{} carries the workspace prefix", m.name);
-            assert!(matches!(m.kind, "counter" | "gauge" | "histogram"), "{}", m.name);
+        for f in &CATALOGUE {
+            assert!(f.name.starts_with("malsim_"), "{} carries the workspace prefix", f.name);
+            assert!(matches!(f.kind, "counter" | "gauge" | "histogram"), "{}", f.name);
+            assert!(f.labels.len() <= MAX_LABELS, "{} fits its row of cells", f.name);
         }
     }
 }

@@ -79,7 +79,7 @@ proptest! {
     /// Random (time, payload) inserts with a random subset cancelled drain in
     /// exactly the order a BTreeMap over (time, insertion index) predicts.
     #[test]
-    fn calqueue_drains_in_model_order(
+    fn queue_drains_in_model_order(
         times in proptest::collection::vec(0u64..2_000_000, 1..400),
         cancel_mask in proptest::collection::vec(any::<bool>(), 1..400),
     ) {
@@ -113,7 +113,7 @@ proptest! {
     /// insert may open a chain ahead of every pending one, join the chain
     /// being drained, or land anywhere between.
     #[test]
-    fn calqueue_interleaved_pops_and_inserts_stay_ordered(
+    fn queue_interleaved_pops_and_inserts_stay_ordered(
         script in proptest::collection::vec((any::<bool>(), 0u64..100_000), 1..300),
     ) {
         let mut q: EventQueue<u64> = EventQueue::new();

@@ -5,12 +5,13 @@
 //! interleaving, and journal damage/identity handling.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use malsim::jobs::{
-    CancelToken, JobBudget, JobQueue, JobSpec, JobStatus, Priority, QueueConfig, RejectReason, SeedPolicy,
+    CancelToken, JobBudget, JobOutcome, JobQueue, JobSpec, JobStatus, Priority, QueueConfig, RejectReason,
+    SeedPolicy,
 };
 use malsim::report::Json;
 use malsim::sweep::{PointRun, PoolConfig, ScriptFaultInfo, Truncation};
@@ -118,7 +119,6 @@ fn three_tenant_queue_with_kill_and_resume() {
     crow.base_seed = 42;
     crow.grid[2] = Json::obj([("kind", "panic".into())]);
     crow.budget.retries = 2;
-    crow.budget.retry_backoff_ms = 1;
     let mut dune = spec("dune", "tenant-d", sim_grid(3, 50));
     dune.base_seed = 43;
     dune.budget.event_budget = Some(5);
@@ -477,6 +477,85 @@ fn lost_admission_line_reruns_the_job_instead_of_splicing() {
     assert_eq!(again.outcomes[0].evaluated_points, 0);
     assert_eq!(again.outcomes[0].report().to_canonical_string(), fresh);
     std::fs::remove_file(&journal).unwrap();
+}
+
+/// Journals a finished run of `drift` (seed 40, three points), then flips one
+/// byte of its admission line so its self-hash fails. Returns the resume
+/// configuration over that journal.
+fn journal_with_a_damaged_admission(tag: &str) -> QueueConfig {
+    let journal = temp(tag);
+    let cfg = QueueConfig { journal: Some(journal.clone()), ..QueueConfig::default() };
+    let mut queue = JobQueue::new(cfg.clone()).unwrap();
+    queue.submit(spec("drift", "tenant-a", sim_grid(3, 8))).unwrap();
+    queue.run(eval).unwrap();
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let tampered = text.replacen("\"tenant\":\"tenant-a\"", "\"tenant\":\"tenant-b\"", 1);
+    assert_ne!(tampered, text, "the admission line is journaled");
+    std::fs::write(&journal, tampered).unwrap();
+    QueueConfig { resume: true, ..cfg }
+}
+
+/// Runs `spec` alone under `cfg` and returns its outcome.
+fn run_alone(cfg: &QueueConfig, spec: &JobSpec) -> JobOutcome {
+    let mut queue = JobQueue::new(cfg.clone()).unwrap();
+    queue.submit(spec.clone()).unwrap();
+    queue.run(eval).unwrap().outcomes.remove(0)
+}
+
+/// Cuts `journal` just after its second admission line and the line after
+/// it, as a kill landing right after that batch was fsynced would.
+fn cut_after_readmission(journal: &Path) {
+    let text = std::fs::read_to_string(journal).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let admissions: Vec<usize> =
+        (0..lines.len()).filter(|&i| lines[i].contains("\"status\":\"admitted\"")).collect();
+    assert_eq!(admissions.len(), 2, "the re-run journaled its admission again");
+    std::fs::write(journal, format!("{}\n", lines[..admissions[1] + 2].join("\n"))).unwrap();
+}
+
+/// A job that re-ran because its admission line was damaged leaves the old
+/// run's records and terminal line ahead of its new admission line. A kill
+/// after that admission must not let the next resume restore them: only the
+/// lines after it were written under the identity `submit` checks.
+#[test]
+fn resume_after_readmission_restores_only_the_new_runs_records() {
+    let resume = journal_with_a_damaged_admission("readmitted");
+    let journal = resume.journal.clone().unwrap();
+    let mut changed = spec("drift", "tenant-a", sim_grid(3, 8));
+    changed.base_seed = 99;
+    let fresh = run_alone(&QueueConfig::default(), &changed).report().to_canonical_string();
+
+    assert_eq!(run_alone(&resume, &changed).resumed_points, 0, "the damaged admission re-runs the job");
+    cut_after_readmission(&journal);
+    let outcome = run_alone(&resume, &changed);
+    assert_eq!(outcome.resumed_points, 1, "only the record after the new admission line");
+    assert_eq!(outcome.evaluated_points, 2);
+    assert_eq!(outcome.report().to_canonical_string(), fresh, "seed 40's records must not be spliced");
+    std::fs::remove_file(&journal).unwrap();
+}
+
+/// `repair_journal` keeps the surviving lines in file order, so a journal
+/// with a re-admitted job resumes the same before and after repair.
+#[test]
+fn repair_keeps_a_readmitted_jobs_lines_in_file_order() {
+    let resume = journal_with_a_damaged_admission("readmitted-repair");
+    let journal = resume.journal.clone().unwrap();
+    let drift = spec("drift", "tenant-a", sim_grid(3, 8));
+    let fresh = run_alone(&QueueConfig::default(), &drift).report().to_canonical_string();
+
+    run_alone(&resume, &drift);
+    cut_after_readmission(&journal);
+    let repaired = temp("readmitted-repaired");
+    std::fs::copy(&journal, &repaired).unwrap();
+    malsim::checkpoint::repair_journal(&repaired, &malsim::chaosfs::REAL_FS).unwrap();
+    let before = run_alone(&resume, &drift);
+    let after = run_alone(&QueueConfig { journal: Some(repaired.clone()), ..resume }, &drift);
+    assert_eq!(before.resumed_points, 1);
+    assert_eq!(after.resumed_points, before.resumed_points, "repair must not change what a resume restores");
+    assert_eq!(before.report().to_canonical_string(), fresh);
+    assert_eq!(after.report().to_canonical_string(), fresh);
+    std::fs::remove_file(&journal).unwrap();
+    std::fs::remove_file(&repaired).unwrap();
 }
 
 /// Disk-full mid-journal: once the chaos disk runs out of space the journal

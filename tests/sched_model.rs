@@ -335,7 +335,7 @@ fn check_program(seed: u64, program: &[Op]) -> Vec<Obs> {
 }
 
 #[test]
-fn calendar_queue_matches_btreemap_model_across_seeds() {
+fn event_queue_matches_btreemap_model_across_seeds() {
     for seed in 0..seeds() {
         check_seed(seed);
     }

@@ -11,7 +11,9 @@
 //! * the event queue's tombstone reaps flushed through the kernel hook equal
 //!   the sim's own [`Sim::queue_stats`] reading, and the dispatch counter
 //!   equals the executed-event count;
-//! * the JSONL sink emits one well-formed deterministic sample per boundary.
+//! * the JSONL sink emits one well-formed deterministic sample per boundary;
+//! * the zeroed Prometheus exposition matches its golden byte for byte, which
+//!   pins every family's HELP and TYPE lines, label set and order.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
@@ -217,4 +219,11 @@ fn jsonl_sink_emits_one_deterministic_sample_per_boundary() {
         last.get("deterministic").and_then(|d| d.get("malsim_points_completed_total")).and_then(Json::as_u64),
         Some(3)
     );
+}
+
+#[test]
+fn zeroed_prometheus_exposition_matches_the_golden() {
+    let _g = registry();
+    let golden = include_str!("golden_metrics/prometheus_zeroed.prom");
+    assert_eq!(telemetry::render_prometheus(), golden);
 }
