@@ -4,7 +4,9 @@
 //! after each point finishes — compact canonical JSON (the
 //! [`report`] writer, so `serialize ∘ parse` is the identity)
 //! carrying the point's status, its result row, an FNV-1a hash of that row,
-//! and any invariant violations. A later `--resume` run replays the file,
+//! and any invariant violations. The line renders the point's
+//! [`CheckpointRecord`], which [`sweep::supervised_point`] returns; the job
+//! queue journals the same record. A later `--resume` run replays the file,
 //! verifies each record's hash, keeps the completed and truncated points,
 //! and re-runs only the missing or poisoned ones.
 //!
@@ -40,10 +42,13 @@
 //! self-hash-valid lines, kept in file order, so a repaired journal replays
 //! as the original does.
 //!
-//! Checkpoint and job-journal lines share one format: the loaders and
-//! [`journal_line_key`] parse every line in one pass with every integrity
-//! check, and all three storage operations (read, open, append) retry
-//! transient faults through one loop.
+//! Checkpoint and job-journal lines share one format and one reader: both
+//! loaders replay their file through the same crate-private function, which
+//! reads it with transient retry and parses each line once, and each keeps
+//! its own fold over the lines. The loaders and [`journal_line_key`] parse
+//! every line in one pass with every integrity check, every line is written
+//! through one batch append, and all three storage operations (read, open,
+//! append) retry transient faults through one loop.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -54,7 +59,7 @@ use crate::chaosfs::{
 };
 use crate::jobs::{JobSpec, JobStatus};
 use crate::report::{self, Json};
-use crate::sweep::{self, PointOutcome, PointRun, PoolConfig, SweepCtx, SweepSupervisor};
+use crate::sweep::{self, PointRun, PoolConfig, SweepCtx, SweepSupervisor};
 use crate::telemetry::{self, Counter};
 
 /// FNV-1a 64-bit hash (the checkpoint record integrity check).
@@ -195,7 +200,8 @@ pub struct CheckpointRecord {
 }
 
 impl CheckpointRecord {
-    /// An empty record for a cancelled point (no row, no fault detail).
+    /// An empty record for a cancelled point (no row, no fault detail); the
+    /// base the other statuses' records fill in.
     pub(crate) fn cancelled(point: usize) -> CheckpointRecord {
         CheckpointRecord {
             point,
@@ -381,15 +387,49 @@ fn with_retry<T>(
 
 /// Reads `path` through `backend`, retrying transient faults with bounded
 /// backoff. `Ok(None)` is a missing file; a fatal fault is returned typed.
-pub(crate) fn read_with_retry(
-    path: &Path,
-    backend: &dyn StorageBackend,
-) -> Result<Option<String>, StorageFault> {
+fn read_with_retry(path: &Path, backend: &dyn StorageBackend) -> Result<Option<String>, StorageFault> {
     let read = with_retry(StorageOp::Read, || match backend.read_to_string(path) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         read => read.map(Some),
     });
     read.map(|(text, _)| text)
+}
+
+/// Replays a checkpoint or job journal through `backend`, the one reader
+/// both loaders share. The file is read with transient retry, and each
+/// non-empty line is parsed once by [`JournalLine::parse`]; every valid line
+/// goes to `fold`, which returns whether it used it. A damaged line, or one
+/// `fold` did not use, is skipped and counted. An error from `fold` ends the
+/// replay at once.
+///
+/// Returns the skipped-line count and, when the file could not be read at
+/// all, the typed fault: a fatal read is counted as a quarantine and leaves
+/// the caller a fresh start. A missing file has no lines.
+pub(crate) fn replay<E>(
+    path: &Path,
+    backend: &dyn StorageBackend,
+    mut fold: impl FnMut(JournalLine) -> Result<bool, E>,
+) -> Result<(usize, Option<StorageFault>), E> {
+    let text = match read_with_retry(path, backend) {
+        Ok(Some(text)) => text,
+        Ok(None) => return Ok((0, None)),
+        Err(fault) => {
+            Counter::CkptJournalQuarantined.add(1);
+            return Ok((0, Some(fault)));
+        }
+    };
+    let mut skipped = 0usize;
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let used = match JournalLine::parse(line) {
+            Some(line) => fold(line)?,
+            None => false,
+        };
+        if !used {
+            skipped += 1;
+        }
+    }
+    Counter::CkptDamagedLines.add(skipped as u64);
+    Ok((skipped, None))
 }
 
 impl Manifest {
@@ -408,23 +448,11 @@ impl Manifest {
         experiment: &str,
         base_seed: u64,
     ) -> Result<Manifest, CheckpointError> {
-        let text = match read_with_retry(path, backend) {
-            Ok(Some(text)) => text,
-            Ok(None) => return Ok(Manifest::default()),
-            Err(fault) => {
-                Counter::CkptJournalQuarantined.add(1);
-                return Ok(Manifest { load_fault: Some(fault), ..Manifest::default() });
-            }
-        };
-        let mut manifest = Manifest::default();
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            // A damaged line is skipped whatever sweep it names: its
-            // identity is as untrustworthy as the rest of it.
-            let Some(JournalLine::Record { scope, base_seed: seed, record }) = JournalLine::parse(line)
-            else {
-                manifest.skipped_lines += 1;
-                continue;
-            };
+        let mut records = BTreeMap::new();
+        // A damaged line is skipped whatever sweep it names: its identity is
+        // as untrustworthy as the rest of it. So is a transition line.
+        let (skipped_lines, load_fault) = replay(path, backend, |line| {
+            let JournalLine::Record { scope, base_seed: seed, record } = line else { return Ok(false) };
             if scope != experiment || seed != base_seed {
                 return Err(CheckpointError::WrongSweep {
                     path: path.to_owned(),
@@ -432,10 +460,10 @@ impl Manifest {
                     found: format!("({scope}, seed {seed})"),
                 });
             }
-            manifest.records.insert(record.point, record);
-        }
-        Counter::CkptDamagedLines.add(manifest.skipped_lines as u64);
-        Ok(manifest)
+            records.insert(record.point, record);
+            Ok(true)
+        })?;
+        Ok(Manifest { records, skipped_lines, load_fault })
     }
 }
 
@@ -559,17 +587,12 @@ impl CheckpointWriter {
     /// fsynced**: once this returns, the record survives a `SIGKILL` — or a
     /// power cut — landing immediately after. A kill mid-call can tear at
     /// most the line in flight, which the lenient loader skips and counts.
+    ///
+    /// This is the one-line case of the batch append the job journal commits
+    /// through. Storage faults never surface: a fatal one quarantines the
+    /// writer (see [`CheckpointWriter::quarantine`]).
     pub fn record(&self, experiment: &str, base_seed: u64, rec: &CheckpointRecord) {
-        self.append_json(&rec.to_json(experiment, base_seed));
-    }
-
-    /// Appends one arbitrary record as a single compact-JSON line with the
-    /// same durability contract as [`CheckpointWriter::record`]: the
-    /// one-line case of the batch append the job journal commits through.
-    /// Storage faults never surface: a fatal one quarantines the writer
-    /// (see [`CheckpointWriter::quarantine`]).
-    pub fn append_json(&self, record: &Json) {
-        self.append_lines(std::slice::from_ref(&record.to_compact_string()));
+        self.append_lines(&[rec.to_json(experiment, base_seed).to_compact_string()]);
     }
 
     /// Appends `lines` (compact JSON, one record each, no newlines) as one
@@ -781,13 +804,11 @@ impl SweepOutcomes {
     }
 }
 
-/// Configuration for [`run_checkpointed`].
+/// How [`run_checkpointed`] runs and persists a sweep. The sweep's identity,
+/// its experiment label and base seed, is passed beside it, as to
+/// [`sweep::run`].
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointConfig<'a> {
-    /// Stable experiment label; part of every record's identity.
-    pub experiment: &'static str,
-    /// The sweep's base seed; part of every record's identity.
-    pub base_seed: u64,
     /// Worker-pool sizing (see [`PoolConfig`]).
     pub pool: PoolConfig,
     /// Per-point supervision policy.
@@ -802,52 +823,10 @@ pub struct CheckpointConfig<'a> {
     pub backend: Option<&'a dyn StorageBackend>,
 }
 
-pub(crate) fn outcome_record(point: usize, outcome: PointOutcome<Json>) -> CheckpointRecord {
-    match outcome {
-        PointOutcome::Completed { run, .. } => {
-            let PointRun { result, truncation, violations } = run;
-            CheckpointRecord {
-                point,
-                status: if truncation.is_some() { PointStatus::Truncated } else { PointStatus::Completed },
-                truncation: truncation.map(|t| t.label().to_owned()),
-                row: Some(result),
-                panic_msg: None,
-                params: None,
-                script_id: None,
-                script_error: None,
-                fuel_used: None,
-                violations: violations.iter().map(|v| v.to_string()).collect(),
-            }
-        }
-        PointOutcome::Poisoned { panic_msg, params, .. } => CheckpointRecord {
-            point,
-            status: PointStatus::Poisoned,
-            truncation: None,
-            row: None,
-            panic_msg: Some(panic_msg),
-            params: Some(params),
-            script_id: None,
-            script_error: None,
-            fuel_used: None,
-            violations: Vec::new(),
-        },
-        PointOutcome::ScriptFault { script_id, error, fuel_used, .. } => CheckpointRecord {
-            point,
-            status: PointStatus::ScriptFault,
-            truncation: None,
-            row: None,
-            panic_msg: None,
-            params: None,
-            script_id: Some(script_id),
-            script_error: Some(error),
-            fuel_used: Some(fuel_used),
-            violations: Vec::new(),
-        },
-    }
-}
-
-/// Runs a supervised sweep with per-point checkpointing (and, with
-/// `cfg.resume`, exact resume — see the module docs for the contract).
+/// Runs the supervised sweep `(experiment, base_seed)` with per-point
+/// checkpointing (and, with `cfg.resume`, exact resume — see the module
+/// docs for the contract). `experiment` and `base_seed` key every point's
+/// [`SweepCtx`] and are every record's identity in the file.
 ///
 /// `run_point` receives the **original** grid index in its [`SweepCtx`] even
 /// on a resumed run that only re-runs a subset, so per-point seeds never
@@ -861,6 +840,8 @@ pub(crate) fn outcome_record(point: usize, outcome: PointOutcome<Json>) -> Check
 /// would only reproduce the same fault. Points that cannot fault return
 /// `Ok(..)`.
 pub fn run_checkpointed<P, F>(
+    experiment: &'static str,
+    base_seed: u64,
     cfg: &CheckpointConfig<'_>,
     points: &[P],
     run_point: F,
@@ -871,7 +852,7 @@ where
 {
     let backend: &dyn StorageBackend = cfg.backend.unwrap_or(&REAL_FS);
     let manifest = if cfg.resume {
-        Manifest::load(cfg.path, backend, cfg.experiment, cfg.base_seed)?
+        Manifest::load(cfg.path, backend, experiment, base_seed)?
     } else {
         Manifest::default()
     };
@@ -892,11 +873,10 @@ where
     } else {
         CheckpointWriter::create(cfg.path, backend)
     };
-    let supervisor = cfg.supervisor;
-    let fresh = sweep::run(cfg.experiment, cfg.base_seed, &todo, cfg.pool.resolve(), |_, &(orig, p)| {
-        let ctx = SweepCtx { experiment: cfg.experiment, point: orig, base_seed: cfg.base_seed };
-        let record = outcome_record(orig, sweep::supervised_point(&ctx, &supervisor, p, &run_point));
-        writer.record(cfg.experiment, cfg.base_seed, &record);
+    let fresh = sweep::run(experiment, base_seed, &todo, cfg.pool.resolve(), |_, &(orig, p)| {
+        let ctx = SweepCtx { experiment, point: orig, base_seed };
+        let record = sweep::supervised_point(&ctx, &cfg.supervisor, p, &run_point);
+        writer.record(experiment, base_seed, &record);
         telemetry::sample_boundary();
         record
     });
@@ -905,8 +885,8 @@ where
     }
 
     Ok(SweepOutcomes {
-        experiment: cfg.experiment,
-        base_seed: cfg.base_seed,
+        experiment,
+        base_seed,
         points: slots.into_values().collect(),
         resumed_points,
         skipped_lines: manifest.skipped_lines,
@@ -1133,15 +1113,13 @@ mod tests {
         };
         let full_path = temp_path("resume-full");
         let cfg = CheckpointConfig {
-            experiment: "resume",
-            base_seed: 11,
             pool: PoolConfig::explicit(2),
             supervisor: SweepSupervisor::default(),
             path: &full_path,
             resume: false,
             backend: None,
         };
-        let full = run_checkpointed(&cfg, &points, eval).unwrap();
+        let full = run_checkpointed("resume", 11, &cfg, &points, eval).unwrap();
         let full_report = full.report().to_canonical_string();
 
         // Keep only the first 3 checkpoint lines, as if killed mid-grid.
@@ -1154,6 +1132,8 @@ mod tests {
             let seed_path = temp_path(&format!("resume-t{threads}"));
             std::fs::copy(&partial_path, &seed_path).unwrap();
             let resumed = run_checkpointed(
+                "resume",
+                11,
                 &CheckpointConfig {
                     path: &seed_path,
                     resume: true,
@@ -1189,21 +1169,20 @@ mod tests {
             Ok(PointRun::complete(Json::U64(p)))
         };
         let cfg = CheckpointConfig {
-            experiment: "poison",
-            base_seed: 3,
             pool: PoolConfig::explicit(1),
             supervisor: SweepSupervisor::default(),
             path: &path,
             resume: false,
             backend: None,
         };
-        let first = run_checkpointed(&cfg, &points, eval).unwrap();
+        let first = run_checkpointed("poison", 3, &cfg, &points, eval).unwrap();
         assert_eq!(first.points[1].record.status, PointStatus::Poisoned);
         assert_eq!(first.points[1].record.panic_msg.as_deref(), Some("transient environment failure"));
         assert_eq!(first.points[1].record.params.as_deref(), Some("1"));
 
         fail.store(false, Ordering::SeqCst);
-        let second = run_checkpointed(&CheckpointConfig { resume: true, ..cfg }, &points, eval).unwrap();
+        let second =
+            run_checkpointed("poison", 3, &CheckpointConfig { resume: true, ..cfg }, &points, eval).unwrap();
         assert_eq!(second.resumed_points, 2, "completed points are kept");
         assert_eq!(second.points[1].record.status, PointStatus::Completed, "poisoned point re-ran");
         assert!(!second.points[1].resumed);
@@ -1231,15 +1210,13 @@ mod tests {
         };
         let full_path = temp_path("fault-full");
         let cfg = CheckpointConfig {
-            experiment: "fault",
-            base_seed: 23,
             pool: PoolConfig::explicit(2),
             supervisor: SweepSupervisor { retries: 5, ..SweepSupervisor::default() },
             path: &full_path,
             resume: false,
             backend: None,
         };
-        let full = run_checkpointed(&cfg, &points, eval).unwrap();
+        let full = run_checkpointed("fault", 23, &cfg, &points, eval).unwrap();
         let full_report = full.report().to_canonical_string();
         assert_eq!(full.points[2].record.status, PointStatus::ScriptFault);
         assert_eq!(full.points[2].record.script_id.as_deref(), Some("bomb.flua"));
@@ -1253,9 +1230,14 @@ mod tests {
         let full_text = std::fs::read_to_string(&full_path).unwrap();
         let lines: Vec<&str> = full_text.lines().take(4).collect();
         std::fs::write(&partial_path, format!("{}\n", lines.join("\n"))).unwrap();
-        let resumed =
-            run_checkpointed(&CheckpointConfig { path: &partial_path, resume: true, ..cfg }, &points, eval)
-                .unwrap();
+        let resumed = run_checkpointed(
+            "fault",
+            23,
+            &CheckpointConfig { path: &partial_path, resume: true, ..cfg },
+            &points,
+            eval,
+        )
+        .unwrap();
         assert_eq!(
             resumed.report().to_canonical_string(),
             full_report,
@@ -1417,21 +1399,21 @@ mod tests {
         };
         let clean_path = temp_path("enospc-clean");
         let cfg = CheckpointConfig {
-            experiment: "enospc",
-            base_seed: 29,
             pool: PoolConfig::explicit(2),
             supervisor: SweepSupervisor::default(),
             path: &clean_path,
             resume: false,
             backend: None,
         };
-        let clean = run_checkpointed(&cfg, &points, eval).unwrap();
+        let clean = run_checkpointed("enospc", 29, &cfg, &points, eval).unwrap();
         assert!(clean.storage_fault.is_none());
 
         // Now the same sweep against a disk with room for ~2 records.
         let chaos = ChaosFs::new(FaultSchedule { disk_capacity: Some(300), ..FaultSchedule::quiet(5) });
         let chaos_path = temp_path("enospc-chaos");
         let full = run_checkpointed(
+            "enospc",
+            29,
             &CheckpointConfig { path: &chaos_path, backend: Some(&chaos), ..cfg },
             &points,
             eval,

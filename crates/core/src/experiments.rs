@@ -810,10 +810,10 @@ pub fn e13_takedown_resilience_profiled_t(
 }
 
 /// E13 under full supervision: panic isolation with bounded retries, the
-/// per-point watchdog, per-point checkpointing to `opts.ckpt_path`, and
-/// (optionally) the runtime invariant checker — all per
-/// `opts.supervisor`. With `opts.resume`, completed points are restored from
-/// the checkpoint and only missing or poisoned points re-run; the resulting
+/// per-point watchdog and per-point checkpointing to `cfg.path`, all per
+/// `cfg`, and, with `check_invariants`, the runtime invariant checker inside
+/// every point. With `cfg.resume`, completed points are restored from the
+/// checkpoint and only missing or poisoned points re-run; the resulting
 /// [`report`](checkpoint::SweepOutcomes::report) is byte-identical to an
 /// uninterrupted run at any thread count (deterministic limits only).
 pub fn e13_takedown_resilience_supervised(
@@ -821,39 +821,15 @@ pub fn e13_takedown_resilience_supervised(
     clients: usize,
     days: u64,
     fractions: &[f64],
-    opts: &SupervisedSweepOpts<'_>,
+    check_invariants: bool,
+    cfg: &checkpoint::CheckpointConfig<'_>,
 ) -> Result<checkpoint::SweepOutcomes, checkpoint::CheckpointError> {
-    let cfg = checkpoint::CheckpointConfig {
-        experiment: "e13",
-        base_seed: seed,
-        pool: opts.pool,
-        supervisor: opts.supervisor,
-        path: opts.ckpt_path,
-        resume: opts.resume,
-        backend: None,
-    };
-    checkpoint::run_checkpointed(&cfg, fractions, |ctx, &frac| {
-        let point_opts = E13PointOptions {
-            profile: false,
-            watchdog: opts.supervisor.watchdog(),
-            check_invariants: opts.supervisor.check_invariants,
-        };
+    checkpoint::run_checkpointed("e13", seed, cfg, fractions, |ctx, &frac| {
+        let point_opts =
+            E13PointOptions { profile: false, watchdog: cfg.supervisor.watchdog(), check_invariants };
         let (row, _, truncation, violations) = e13_point_opt(ctx, frac, clients, days, point_opts);
         Ok(sweep::PointRun { result: row.to_json(), truncation, violations })
     })
-}
-
-/// How [`e13_takedown_resilience_supervised`] should run its sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisedSweepOpts<'a> {
-    /// Worker-pool sizing (see [`sweep::PoolConfig`]).
-    pub pool: sweep::PoolConfig,
-    /// Per-point supervision policy (retries, watchdog, invariants).
-    pub supervisor: sweep::SweepSupervisor,
-    /// The checkpoint file appended to after every point.
-    pub ckpt_path: &'a std::path::Path,
-    /// Resume from `ckpt_path` instead of truncating it.
-    pub resume: bool,
 }
 
 /// Supervision knobs threaded into one E13 point.

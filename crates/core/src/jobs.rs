@@ -4,21 +4,23 @@
 //! The sweep runner ([`crate::sweep`]) evaluates one grid for one caller.
 //! This layer makes that shared infrastructure safe for many concurrent,
 //! mutually untrusted workloads: a [`JobSpec`] names an experiment, a grid,
-//! a seed policy, a priority, and a [`JobBudget`]; a [`JobQueue`] schedules
-//! every admitted job's points onto one worker pool with weighted-fair
-//! interleaving across tenants, so a hostile or runaway job can slow the
-//! others but never starve or crash them. The kernel stays synchronous and
-//! deterministic — all concurrency lives here.
+//! a seed policy, a priority, and per-point limits (a [`SweepSupervisor`]);
+//! a [`JobQueue`] schedules every admitted job's points onto one worker pool
+//! with weighted-fair interleaving across tenants, so a hostile or runaway
+//! job can slow the others but never starve or crash them. The kernel stays
+//! synchronous and deterministic — all concurrency lives here.
 //!
 //! ## Containment
 //!
-//! Each point runs under the job's own supervisor
-//! ([`sweep::supervised_point`]): panics are retried at once up to the
-//! budget and then quarantined as poisoned, script faults
-//! are typed and final, and the per-point watchdog truncates over-budget
-//! simulations. None of these kill the queue — they fold into the job's
-//! [`JobOutcome`] as a [`JobStatus::Degraded`] verdict while every other
-//! tenant's work completes untouched. Admission control rejects
+//! Each point runs under the job's own [`SweepSupervisor`]
+//! ([`sweep::supervised_point`]), which returns the point's durable
+//! [`CheckpointRecord`]: the record the journal stores and the report
+//! renders. Panics are retried at once up to the budget and then
+//! quarantined as poisoned, script faults are typed and final, and the
+//! per-point watchdog truncates over-budget simulations. None of these
+//! kill the queue — they fold into the job's [`JobOutcome`] as a
+//! [`JobStatus::Degraded`] verdict while every other tenant's work
+//! completes untouched. Admission control rejects
 //! over-capacity or malformed submissions up front with a typed
 //! [`Rejected`] instead of queueing unbounded work.
 //!
@@ -42,7 +44,8 @@
 //! precedes its points, its terminal line follows them — and `run` returns
 //! only once every line is durable or the journal is quarantined (below).
 //! A `SIGKILL`'d queue resumed with the same submissions replays the
-//! journal and reproduces every finished job's report byte-identically
+//! journal, through the same reader as a sweep checkpoint, and reproduces
+//! every finished job's report byte-identically
 //! without re-evaluating its points; a changed resubmission is rejected
 //! with [`RejectReason::JournalMismatch`] rather than silently spliced.
 //! Records are restored only for a job whose admission line survived, since
@@ -121,43 +124,10 @@ impl Priority {
 /// by `QUANTUM / weight`, so higher-weight tenants are picked more often.
 const WFQ_QUANTUM: u64 = 16;
 
-/// Per-job resource limits, all enforced without trusting the job's code.
-///
-/// The default budget imposes nothing: no retries, no watchdog limits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct JobBudget {
-    /// Deterministic per-point event budget (see
-    /// [`Watchdog::max_events`]); overruns truncate the point.
-    pub event_budget: Option<u64>,
-    /// Host-clock per-point deadline in milliseconds. Nondeterministic —
-    /// setting it makes the job ineligible for the result cache.
-    pub deadline_ms: Option<u64>,
-    /// Panic re-attempts per point before quarantining it as poisoned.
-    pub retries: u32,
-    /// Host-clock sleep before each point starts, in milliseconds. Zero in
-    /// normal use; nonzero only to widen the kill window in resume drills.
-    pub stagger_ms: u64,
-}
-
-impl JobBudget {
-    /// The per-point supervision policy this budget implies.
-    pub fn supervisor(&self) -> SweepSupervisor {
-        SweepSupervisor {
-            retries: self.retries,
-            event_budget: self.event_budget,
-            deadline_ms: self.deadline_ms,
-            check_invariants: false,
-            stagger_ms: self.stagger_ms,
-        }
-    }
-
-    /// Whether points under this budget are deterministic enough to share
-    /// through the result cache. A host-clock deadline can truncate at a
-    /// different event on every run, so deadline jobs are never cached.
-    pub fn cacheable(&self) -> bool {
-        self.deadline_ms.is_none()
-    }
-}
+/// Per-job resource limits, all enforced without trusting the job's code:
+/// every point of a job runs under its [`SweepSupervisor`]. The name is kept
+/// for callers that spell the limits this way.
+pub type JobBudget = SweepSupervisor;
 
 /// How a job's points derive their seeds (see the [`crate::sweep`] module
 /// docs for when each design applies).
@@ -198,7 +168,7 @@ pub struct JobSpec {
     /// WFQ weight class.
     pub priority: Priority,
     /// Per-point limits.
-    pub budget: JobBudget,
+    pub budget: SweepSupervisor,
     /// The parameter grid, one [`Json`] value per point.
     pub grid: Vec<Json>,
 }
@@ -426,7 +396,7 @@ pub struct JobOutcome {
     pub priority: Priority,
     /// The budget the job ran under (used to derive the degraded-reason
     /// breakdown in [`JobOutcome::report`]).
-    pub budget: JobBudget,
+    pub budget: SweepSupervisor,
     /// Terminal verdict.
     pub status: JobStatus,
     /// Per-point records in point order.
@@ -588,42 +558,32 @@ struct JournalLoad {
     load_fault: Option<StorageFault>,
 }
 
-/// Replays a job journal through `backend`. Damaged lines (torn writes,
-/// failed hashes) are skipped and counted; a missing file is an empty
-/// journal; a fatal read fault degrades to an empty journal with the typed
-/// reason in [`JournalLoad::load_fault`].
+/// Replays a job journal through `backend` ([`checkpoint::replay`]).
+/// Damaged lines (torn writes, failed hashes) are skipped and counted; a
+/// missing file is an empty journal; a fatal read fault degrades to an
+/// empty journal with the typed reason in [`JournalLoad::load_fault`].
 ///
 /// A valid admission line starts its job's entry afresh. Lines before it
 /// belong to an earlier run of that job id whose admission line was lost, so
 /// no resubmission was ever checked against them.
 fn load_journal(path: &Path, backend: &dyn StorageBackend) -> JournalLoad {
-    let text = match checkpoint::read_with_retry(path, backend) {
-        Ok(Some(text)) => text,
-        Ok(None) => return JournalLoad::default(),
-        Err(fault) => {
-            Counter::CkptJournalQuarantined.add(1);
-            return JournalLoad { load_fault: Some(fault), ..JournalLoad::default() };
-        }
-    };
     let mut jobs: BTreeMap<String, JournalJob> = BTreeMap::new();
-    let mut skipped = 0usize;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        match JournalLine::parse(line) {
-            Some(JournalLine::Admitted { job_id, identity }) => {
+    let Ok((skipped, load_fault)) = checkpoint::replay(path, backend, |line| {
+        match line {
+            JournalLine::Admitted { job_id, identity } => {
                 jobs.insert(job_id, JournalJob { identity: Some(identity), ..JournalJob::default() });
             }
-            Some(JournalLine::Finished { job_id, status }) => {
+            JournalLine::Finished { job_id, status } => {
                 jobs.entry(job_id).or_default().terminal = Some(status)
             }
             // A point record's scope is its job id.
-            Some(JournalLine::Record { scope, record, .. }) => {
+            JournalLine::Record { scope, record, .. } => {
                 jobs.entry(scope).or_default().records.insert(record.point, record);
             }
-            None => skipped += 1,
         }
-    }
-    Counter::CkptDamagedLines.add(skipped as u64);
-    JournalLoad { jobs, skipped, load_fault: None }
+        Ok::<_, std::convert::Infallible>(true)
+    });
+    JournalLoad { jobs, skipped, load_fault }
 }
 
 /// One entry of the content-addressed result cache / claim table.
@@ -1065,7 +1025,6 @@ fn worker<F>(
         drop(guard);
 
         let spec = &specs[task.job];
-        let supervisor = spec.budget.supervisor();
         let ctx = SweepCtx { experiment: spec.experiment, point: task.point, base_seed: spec.base_seed };
         let jp = JobPoint {
             job_id: &spec.job_id,
@@ -1073,10 +1032,9 @@ fn worker<F>(
             ctx,
             params: &spec.grid[task.point],
             seed_policy: spec.seed_policy,
-            watchdog: supervisor.watchdog(),
+            watchdog: spec.budget.watchdog(),
         };
-        let outcome = sweep::supervised_point(&ctx, &supervisor, &jp, &|_, p: &JobPoint<'_>| run_point(p));
-        let record = checkpoint::outcome_record(task.point, outcome);
+        let record = sweep::supervised_point(&ctx, &spec.budget, &jp, &|_, p: &JobPoint<'_>| run_point(p));
 
         guard = sched.lock().expect("scheduler lock never held across a panic");
         complete(&mut guard, specs, task, record);
@@ -1238,7 +1196,7 @@ mod tests {
             base_seed: 7,
             seed_policy: SeedPolicy::Derived,
             priority: Priority::Normal,
-            budget: JobBudget::default(),
+            budget: SweepSupervisor::default(),
             grid: (0..points).map(|p| Json::obj([("p", Json::U64(p))])).collect(),
         }
     }

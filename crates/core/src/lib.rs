@@ -73,15 +73,12 @@ pub mod prelude {
     pub use crate::golden;
     pub use crate::invariants;
     pub use crate::jobs::{
-        self, CancelToken, JobBudget, JobOutcome, JobQueue, JobSpec, JobStatus, Priority, QueueConfig,
-        SeedPolicy,
+        self, CancelToken, JobOutcome, JobQueue, JobSpec, JobStatus, Priority, QueueConfig, SeedPolicy,
     };
     pub use crate::report::{self, Json};
     pub use crate::scenario::ScenarioBuilder;
     pub use crate::script_api::{self, ScriptManifest, ScriptRunReport, ScriptScenario};
-    pub use crate::sweep::{
-        self, PointOutcome, PointRun, PoolConfig, ScriptFaultInfo, SweepSupervisor, Truncation,
-    };
+    pub use crate::sweep::{self, PointRun, PoolConfig, ScriptFaultInfo, SweepSupervisor, Truncation};
     pub use crate::telemetry;
     pub use malsim_analysis::prelude::*;
     pub use malsim_kernel::prelude::*;

@@ -25,6 +25,16 @@
 //! fault prefixes, and differ only in the treatment — the paired design the
 //! shape tests rely on.
 //!
+//! ## Supervised points
+//!
+//! [`supervised_point`] runs one point under a [`SweepSupervisor`] (retry
+//! budget and watchdog limits) and returns its durable [`CheckpointRecord`]:
+//! completed, truncated, poisoned or script-faulted. Run a grid of them
+//! with [`run`]. The checkpointed runner
+//! ([`run_checkpointed`](crate::checkpoint::run_checkpointed)) and every job
+//! of the [`JobQueue`](crate::jobs::JobQueue) run their points this way, so
+//! one record and one limits type describe a supervised point everywhere.
+//!
 //! The contract survives hostile storage, too: the checkpointed runner
 //! ([`crate::checkpoint`]) persists through a [`crate::chaosfs`] backend
 //! that retries transient I/O faults and quarantines on fatal ones, so a
@@ -38,6 +48,8 @@ use malsim_kernel::invariant::InvariantViolation;
 use malsim_kernel::rng::SimRng;
 use malsim_kernel::sched::{ProfileSummary, StopReason, Watchdog};
 
+use crate::checkpoint::{CheckpointRecord, PointStatus};
+use crate::report::Json;
 use crate::telemetry::Counter;
 
 /// The identity of one sweep point: which experiment, which point index, and
@@ -167,24 +179,24 @@ where
     slots.into_iter().map(|r| r.expect("every sweep point is computed exactly once")).collect()
 }
 
-/// Supervision policy for a sweep: retry budget for panicking points, the
-/// per-point [`Watchdog`] limits, and whether to arm the runtime invariant
-/// checker inside each point's simulation.
+/// Supervision policy for one sweep point: the retry budget for a panicking
+/// point and the per-point [`Watchdog`] limits. The checkpointed runner and
+/// every job of the [`JobQueue`](crate::jobs::JobQueue) run their points
+/// under one.
 ///
-/// The default supervisor imposes nothing: no retries, no limits, checker
-/// off — [`supervised_point`] then only adds panic isolation.
+/// The default supervisor imposes nothing: no retries, no limits —
+/// [`supervised_point`] then only adds panic isolation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepSupervisor {
     /// How many times a panicking point is re-attempted before it is
-    /// quarantined as [`PointOutcome::Poisoned`].
+    /// quarantined as [`PointStatus::Poisoned`].
     pub retries: u32,
-    /// Deterministic per-point event budget (see [`Watchdog::max_events`]).
+    /// Deterministic per-point event budget (see [`Watchdog::max_events`]);
+    /// overruns truncate the point.
     pub event_budget: Option<u64>,
     /// Host-clock per-point deadline in milliseconds; nondeterministic, for
     /// runaway protection only (see [`Watchdog::deadline_ms`]).
     pub deadline_ms: Option<u64>,
-    /// Arm the kernel invariant checker (non-strict) inside each point.
-    pub check_invariants: bool,
     /// Host-clock sleep before each point starts, in milliseconds. Zero in
     /// normal use; nonzero only to widen the kill window in resume drills.
     pub stagger_ms: u64,
@@ -194,6 +206,14 @@ impl SweepSupervisor {
     /// The per-point watchdog this policy implies.
     pub fn watchdog(&self) -> Watchdog {
         Watchdog { max_events: self.event_budget, deadline_ms: self.deadline_ms }
+    }
+
+    /// Whether points under this policy are deterministic enough to share
+    /// through the job queue's result cache. A host-clock deadline can
+    /// truncate at a different event on every run, so deadline jobs are
+    /// never cached.
+    pub fn cacheable(&self) -> bool {
+        self.deadline_ms.is_none()
     }
 }
 
@@ -247,8 +267,8 @@ impl<R> PointRun<R> {
 /// How a scenario script failed at one grid point: the typed fault rendered
 /// for the report, plus enough context to reproduce and triage it.
 ///
-/// Produced by point closures (see [`supervised_point`]);
-/// the sweep turns it into [`PointOutcome::ScriptFault`].
+/// Produced by point closures (see [`supervised_point`]), which record it
+/// as a [`PointStatus::ScriptFault`] point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScriptFaultInfo {
     /// The script's manifest name (or a stable synthetic id).
@@ -259,58 +279,6 @@ pub struct ScriptFaultInfo {
     pub error: String,
     /// Fuel the script had consumed when it faulted (0 for compile faults).
     pub fuel_used: u64,
-}
-
-/// Terminal outcome of one supervised sweep point.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PointOutcome<R> {
-    /// The point produced a result (possibly truncated) within the retry
-    /// budget.
-    Completed {
-        /// The run's result and supervision verdicts.
-        run: PointRun<R>,
-        /// Attempts consumed, counting the successful one (1 = first try).
-        attempts: u32,
-    },
-    /// Every attempt panicked; the point is quarantined so the rest of the
-    /// grid can complete.
-    Poisoned {
-        /// Rendered panic payload from the final attempt.
-        panic_msg: String,
-        /// The point's derived stream seed, for standalone reproduction.
-        seed: u64,
-        /// Zero-based grid index of the point.
-        point: usize,
-        /// `Debug` rendering of the point's parameters.
-        params: String,
-        /// Attempts consumed (all panicked).
-        attempts: u32,
-    },
-    /// The point's scenario script faulted (ran out of fuel/memory, called
-    /// a forbidden capability, hit a runtime error…). Deterministic — the
-    /// same script fails the same way every time — so unlike
-    /// [`PointOutcome::Poisoned`] no retries are burned; the point is
-    /// tagged and the rest of the grid completes.
-    ScriptFault {
-        /// The script's manifest name.
-        script_id: String,
-        /// `Display` rendering of the typed fault.
-        error: String,
-        /// Fuel consumed before the fault.
-        fuel_used: u64,
-        /// Zero-based grid index of the point.
-        point: usize,
-    },
-}
-
-impl<R> PointOutcome<R> {
-    /// The completed run, if the point was not poisoned or script-faulted.
-    pub fn run(&self) -> Option<&PointRun<R>> {
-        match self {
-            PointOutcome::Completed { run, .. } => Some(run),
-            PointOutcome::Poisoned { .. } | PointOutcome::ScriptFault { .. } => None,
-        }
-    }
 }
 
 /// Renders a caught panic payload (the `String`/`&str` cases panics almost
@@ -325,16 +293,24 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one point under the supervisor: optional stagger sleep, then up to
-/// `1 + retries` attempts with each panic caught and the last one quarantined
-/// as [`PointOutcome::Poisoned`].
+/// Runs one point under the supervisor and returns its durable record:
+/// optional stagger sleep, then up to `1 + retries` attempts with each panic
+/// caught and the last one quarantined as [`PointStatus::Poisoned`] (its
+/// record carries the panic message and the point's `Debug` rendering).
 ///
 /// A point can also fail with a typed script fault. The two failure modes are
 /// handled differently: a panic is assumed transient-ish and retried up to
 /// the supervisor's budget; an `Err(ScriptFaultInfo)` is deterministic (the
-/// same script faults the same way on every attempt), so it is tagged as
-/// [`PointOutcome::ScriptFault`] immediately without burning a retry. Points
+/// same script faults the same way on every attempt), so it is recorded as
+/// [`PointStatus::ScriptFault`] immediately without burning a retry. Points
 /// that cannot fault return `Ok(..)`.
+///
+/// `run_point` is responsible for honouring the supervisor's watchdog when
+/// it builds its simulation (see [`SweepSupervisor::watchdog`]); the
+/// supervisor cannot reach inside a point. Run a grid of supervised points
+/// with [`run`]: the records are byte-identical across thread counts as
+/// long as only deterministic limits (event budget, not host deadline) are
+/// in force.
 ///
 /// # Unwind safety
 ///
@@ -345,85 +321,66 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// captures); a panicking attempt can therefore leave nothing half-mutated
 /// for the retry — or any other point — to observe. Closures that mutate
 /// shared state through interior mutability are outside the contract.
-pub fn supervised_point<P, R, F>(
+pub fn supervised_point<P, F>(
     ctx: &SweepCtx,
     supervisor: &SweepSupervisor,
     point: &P,
     run_point: &F,
-) -> PointOutcome<R>
+) -> CheckpointRecord
 where
     P: std::fmt::Debug,
-    F: Fn(&SweepCtx, &P) -> Result<PointRun<R>, ScriptFaultInfo>,
+    F: Fn(&SweepCtx, &P) -> Result<PointRun<Json>, ScriptFaultInfo>,
 {
     if supervisor.stagger_ms > 0 {
         std::thread::sleep(std::time::Duration::from_millis(supervisor.stagger_ms));
     }
+    let empty = CheckpointRecord::cancelled(ctx.point);
     let mut attempts = 0u32;
     loop {
         attempts += 1;
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_point(ctx, point))) {
-            Ok(Ok(run)) => {
+            Ok(Ok(PointRun { result, truncation, violations })) => {
                 Counter::PointsRetried.add(u64::from(attempts - 1));
-                match run.truncation {
+                match truncation {
                     None => Counter::PointsCompleted.add(1),
                     Some(t) => Counter::PointsTruncated.add_at(t as usize, 1),
                 }
-                return PointOutcome::Completed { run, attempts };
+                return CheckpointRecord {
+                    status: if truncation.is_some() {
+                        PointStatus::Truncated
+                    } else {
+                        PointStatus::Completed
+                    },
+                    truncation: truncation.map(|t| t.label().to_owned()),
+                    row: Some(result),
+                    violations: violations.iter().map(|v| v.to_string()).collect(),
+                    ..empty
+                };
             }
             Ok(Err(fault)) => {
                 Counter::PointsScriptFaults.add(1);
-                return PointOutcome::ScriptFault {
-                    script_id: fault.script_id,
-                    error: fault.error,
-                    fuel_used: fault.fuel_used,
-                    point: ctx.point,
+                return CheckpointRecord {
+                    status: PointStatus::ScriptFault,
+                    script_id: Some(fault.script_id),
+                    script_error: Some(fault.error),
+                    fuel_used: Some(fault.fuel_used),
+                    ..empty
                 };
             }
             Err(payload) => {
                 if attempts > supervisor.retries {
                     Counter::PointsRetried.add(u64::from(attempts - 1));
                     Counter::PointsQuarantined.add(1);
-                    return PointOutcome::Poisoned {
-                        panic_msg: panic_message(payload),
-                        seed: ctx.derived_seed(),
-                        point: ctx.point,
-                        params: format!("{point:?}"),
-                        attempts,
+                    return CheckpointRecord {
+                        status: PointStatus::Poisoned,
+                        panic_msg: Some(panic_message(payload)),
+                        params: Some(format!("{point:?}")),
+                        ..empty
                     };
                 }
             }
         }
     }
-}
-
-/// [`run`] with per-point supervision: a panicking point is retried up to
-/// `supervisor.retries` times and then quarantined as
-/// [`PointOutcome::Poisoned`] instead of aborting the sweep, so the other
-/// `n - 1` points still complete. A point returning `Err(ScriptFaultInfo)`
-/// becomes [`PointOutcome::ScriptFault`] (no retries).
-///
-/// `run_point` is responsible for honouring the supervisor's watchdog and
-/// invariant settings when it builds its simulation (see
-/// [`SweepSupervisor::watchdog`]); the runner cannot reach inside a point.
-/// Determinism: outcomes are byte-identical across thread counts exactly as
-/// with [`run`], as long as only deterministic limits (event budget, not
-/// host deadline) are in force.
-pub fn run_supervised<P, R, F>(
-    experiment: &'static str,
-    base_seed: u64,
-    points: &[P],
-    pool: PoolConfig,
-    supervisor: &SweepSupervisor,
-    run_point: F,
-) -> Vec<PointOutcome<R>>
-where
-    P: Sync + std::fmt::Debug,
-    R: Send,
-    F: Fn(&SweepCtx, &P) -> Result<PointRun<R>, ScriptFaultInfo> + Sync,
-{
-    run(experiment, base_seed, points, pool.resolve(), |ctx, p| {
-        supervised_point(ctx, supervisor, p, &run_point)
-    })
 }
 
 /// Per-category roll-up of one metric across a grid of profiling summaries.
@@ -606,38 +563,35 @@ mod tests {
 
     #[test]
     fn poisoned_point_is_quarantined_while_others_complete() {
-        let points: Vec<u32> = (0..8).collect();
+        use std::sync::atomic::AtomicU32;
+        let points: Vec<u64> = (0..8).collect();
         let supervisor = SweepSupervisor::default();
+        let tries = AtomicU32::new(0);
+        let eval = |ctx: &SweepCtx, &p: &u64| {
+            if p == 5 {
+                tries.fetch_add(1, Ordering::SeqCst);
+                panic!("injected failure at point {p}");
+            }
+            Ok(PointRun::complete(Json::Arr(vec![ctx.point.into(), Json::U64(p * 10)])))
+        };
         for threads in [1, 2, 8] {
-            let outcomes = run_supervised(
-                "quarantine",
-                3,
-                &points,
-                PoolConfig::explicit(threads),
-                &supervisor,
-                |ctx, &p| {
-                    if p == 5 {
-                        panic!("injected failure at point {p}");
-                    }
-                    Ok(PointRun::complete((ctx.point, p * 10)))
-                },
-            );
-            assert_eq!(outcomes.len(), 8);
-            for (i, outcome) in outcomes.iter().enumerate() {
+            tries.store(0, Ordering::SeqCst);
+            let records =
+                run("quarantine", 3, &points, threads, |ctx, p| supervised_point(ctx, &supervisor, p, &eval));
+            assert_eq!(records.len(), 8);
+            for (i, rec) in records.iter().enumerate() {
+                assert_eq!(rec.point, i);
                 if i == 5 {
-                    let PointOutcome::Poisoned { panic_msg, seed, point, params, attempts } = outcome else {
-                        panic!("point 5 must be poisoned, got {outcome:?}");
-                    };
-                    assert_eq!(panic_msg, "injected failure at point 5");
-                    let ctx = SweepCtx { experiment: "quarantine", point: 5, base_seed: 3 };
-                    assert_eq!(*seed, ctx.derived_seed());
-                    assert_eq!(*point, 5);
-                    assert_eq!(params, "5");
-                    assert_eq!(*attempts, 1, "no retries configured");
+                    assert_eq!(rec.status, PointStatus::Poisoned);
+                    assert_eq!(rec.panic_msg.as_deref(), Some("injected failure at point 5"));
+                    assert_eq!(rec.params.as_deref(), Some("5"));
+                    assert_eq!(rec.row, None);
                 } else {
-                    assert_eq!(outcome.run().map(|r| r.result), Some((i, i as u32 * 10)));
+                    assert_eq!(rec.status, PointStatus::Completed);
+                    assert_eq!(rec.row, Some(Json::Arr(vec![i.into(), Json::U64(i as u64 * 10)])));
                 }
             }
+            assert_eq!(tries.load(Ordering::SeqCst), 1, "no retries configured");
         }
     }
 
@@ -646,88 +600,70 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         let points: Vec<usize> = (0..4).collect();
         let tries: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
-        let supervisor = SweepSupervisor { retries: 2, ..SweepSupervisor::default() };
-        let outcomes = run_supervised("flaky", 1, &points, PoolConfig::explicit(2), &supervisor, |_, &p| {
+        let eval = |_: &SweepCtx, &p: &usize| {
             let attempt = tries[p].fetch_add(1, Ordering::SeqCst) + 1;
-            // Point 2 fails twice, then succeeds — within the retry budget.
+            // Point 2 fails twice, then succeeds.
             if p == 2 && attempt < 3 {
                 panic!("flaky");
             }
-            Ok(PointRun::complete(p))
-        });
-        match &outcomes[2] {
-            PointOutcome::Completed { run, attempts } => {
-                assert_eq!(run.result, 2);
-                assert_eq!(*attempts, 3);
-            }
-            other => panic!("expected rescue, got {other:?}"),
+            Ok(PointRun::complete(p.into()))
+        };
+        // Within the retry budget: every point completes, point 2 on its
+        // third try.
+        let supervisor = SweepSupervisor { retries: 2, ..SweepSupervisor::default() };
+        let records = run("flaky", 1, &points, 2, |ctx, p| supervised_point(ctx, &supervisor, p, &eval));
+        for (i, rec) in records.iter().enumerate() {
+            assert_eq!(rec.status, PointStatus::Completed);
+            assert_eq!(rec.row, Some(i.into()));
         }
-        for (i, outcome) in outcomes.iter().enumerate() {
-            assert_eq!(outcome.run().map(|r| r.result), Some(i));
-        }
+        let counts: Vec<u32> = tries.iter().map(|t| t.swap(0, Ordering::SeqCst)).collect();
+        assert_eq!(counts, [1, 1, 3, 1]);
 
         // With a smaller budget the same point stays poisoned.
-        let tries: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
         let supervisor = SweepSupervisor { retries: 1, ..SweepSupervisor::default() };
-        let outcomes = run_supervised("flaky", 1, &points, PoolConfig::explicit(2), &supervisor, |_, &p| {
-            let attempt = tries[p].fetch_add(1, Ordering::SeqCst) + 1;
-            if p == 2 && attempt < 3 {
-                panic!("flaky");
-            }
-            Ok(PointRun::complete(p))
-        });
-        match &outcomes[2] {
-            PointOutcome::Poisoned { attempts, panic_msg, .. } => {
-                assert_eq!(*attempts, 2, "initial try plus one retry");
-                assert_eq!(panic_msg, "flaky");
-            }
-            other => panic!("expected poisoning, got {other:?}"),
-        }
+        let records = run("flaky", 1, &points, 2, |ctx, p| supervised_point(ctx, &supervisor, p, &eval));
+        assert_eq!(records[2].status, PointStatus::Poisoned);
+        assert_eq!(records[2].panic_msg.as_deref(), Some("flaky"));
+        assert_eq!(tries[2].load(Ordering::SeqCst), 2, "initial try plus one retry");
     }
 
     #[test]
     fn script_fault_tags_the_point_without_burning_retries() {
         use std::sync::atomic::AtomicU32;
-        let points: Vec<u32> = (0..6).collect();
+        let points: Vec<u64> = (0..6).collect();
         let tries: Vec<AtomicU32> = (0..6).map(|_| AtomicU32::new(0)).collect();
         // Generous retry budget: a deterministic script fault must still be
         // reported after exactly one attempt.
         let supervisor = SweepSupervisor { retries: 5, ..SweepSupervisor::default() };
+        let eval = |_: &SweepCtx, &p: &u64| {
+            tries[p as usize].fetch_add(1, Ordering::SeqCst);
+            if p == 3 {
+                return Err(ScriptFaultInfo {
+                    script_id: "bomb.flua".into(),
+                    error: "script exceeded its fuel budget".into(),
+                    fuel_used: 20_000,
+                });
+            }
+            Ok(PointRun::complete(Json::U64(p)))
+        };
         for threads in [1, 4] {
             for t in &tries {
                 t.store(0, Ordering::SeqCst);
             }
-            let outcomes = run_supervised(
-                "scriptfault",
-                7,
-                &points,
-                PoolConfig::explicit(threads),
-                &supervisor,
-                |ctx, &p| {
-                    tries[p as usize].fetch_add(1, Ordering::SeqCst);
-                    if p == 3 {
-                        return Err(ScriptFaultInfo {
-                            script_id: "bomb.flua".into(),
-                            error: "script exceeded its fuel budget".into(),
-                            fuel_used: 20_000,
-                        });
-                    }
-                    Ok(PointRun::complete((ctx.point, p)))
-                },
-            );
-            assert_eq!(outcomes.len(), 6);
-            for (i, outcome) in outcomes.iter().enumerate() {
+            let records = run("scriptfault", 7, &points, threads, |ctx, p| {
+                supervised_point(ctx, &supervisor, p, &eval)
+            });
+            assert_eq!(records.len(), 6);
+            for (i, rec) in records.iter().enumerate() {
+                assert_eq!(rec.point, i);
                 if i == 3 {
-                    let PointOutcome::ScriptFault { script_id, error, fuel_used, point } = outcome else {
-                        panic!("point 3 must be a script fault, got {outcome:?}");
-                    };
-                    assert_eq!(script_id, "bomb.flua");
-                    assert_eq!(error, "script exceeded its fuel budget");
-                    assert_eq!(*fuel_used, 20_000);
-                    assert_eq!(*point, 3);
-                    assert!(outcome.run().is_none());
+                    assert_eq!(rec.status, PointStatus::ScriptFault);
+                    assert_eq!(rec.script_id.as_deref(), Some("bomb.flua"));
+                    assert_eq!(rec.script_error.as_deref(), Some("script exceeded its fuel budget"));
+                    assert_eq!(rec.fuel_used, Some(20_000));
+                    assert_eq!(rec.row, None);
                 } else {
-                    assert_eq!(outcome.run().map(|r| r.result), Some((i, i as u32)));
+                    assert_eq!(rec.row, Some(Json::U64(i as u64)));
                 }
             }
             assert_eq!(tries[3].load(Ordering::SeqCst), 1, "no retry burned on a script fault");
@@ -739,6 +675,8 @@ mod tests {
         let s = SweepSupervisor { event_budget: Some(100), deadline_ms: Some(5), ..Default::default() };
         assert_eq!(s.watchdog(), Watchdog { max_events: Some(100), deadline_ms: Some(5) });
         assert_eq!(SweepSupervisor::default().watchdog(), Watchdog::UNLIMITED);
+        assert!(SweepSupervisor { event_budget: Some(100), ..Default::default() }.cacheable());
+        assert!(!s.cacheable(), "a host-clock deadline is not deterministic");
         assert_eq!(Truncation::from_stop(StopReason::Completed), None);
         assert_eq!(Truncation::from_stop(StopReason::EventBudget), Some(Truncation::EventBudget));
         assert_eq!(Truncation::EventBudget.label(), "event_budget");

@@ -72,24 +72,6 @@ impl Histogram {
         self.sorted_cache = None;
     }
 
-    /// Nearest-rank percentile, `p` in `[0, 100]` (0.0 when empty).
-    ///
-    /// Sorts a fresh copy on every call; prefer [`Histogram::quantile`] when
-    /// the histogram is mutable and queried repeatedly.
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        match &self.sorted_cache {
-            Some(sorted) => Self::rank_of(sorted, p / 100.0),
-            None => {
-                let mut sorted = self.values.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-                Self::rank_of(&sorted, p / 100.0)
-            }
-        }
-    }
-
     /// Nearest-rank quantile, `q` in `[0, 1]` (0.0 when empty).
     ///
     /// The sorted order is computed on first call and cached until the next
@@ -131,30 +113,30 @@ mod tests {
         for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
             h.observe(v);
         }
-        assert_eq!(h.percentile(0.0), 1.0);
-        assert_eq!(h.percentile(50.0), 3.0);
-        assert_eq!(h.percentile(100.0), 5.0);
+        assert_eq!(h.quantile(0.0), 1.0);
+        assert_eq!(h.quantile(0.5), 3.0);
+        assert_eq!(h.quantile(1.0), 5.0);
     }
 
     #[test]
     fn empty_histogram_is_zeroed() {
-        let h = Histogram::default();
-        assert_eq!(h.percentile(99.0), 0.0);
-        assert_eq!(Histogram::default().quantile(0.5), 0.0);
+        let mut h = Histogram::default();
+        assert_eq!(h.quantile(0.99), 0.0);
+        assert_eq!(h.quantile(0.5), 0.0);
     }
 
     #[test]
-    fn quantile_agrees_with_percentile() {
+    fn quantile_takes_the_nearest_rank() {
         let mut h = Histogram::default();
         for v in [9.0, 7.0, 5.0, 3.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0] {
             h.observe(v);
         }
-        for p in [0.0, 25.0, 50.0, 95.0, 99.0, 100.0] {
-            let via_percentile = h.percentile(p);
-            assert_eq!(h.quantile(p / 100.0), via_percentile, "p={p}");
+        // Rank round(q * 9) of the sorted values 1..=10.
+        let table = [(0.0, 1.0), (0.1, 2.0), (0.25, 3.0), (0.75, 8.0), (0.95, 10.0), (1.0, 10.0)];
+        for (q, want) in table {
+            assert_eq!(h.quantile(q), want, "q={q}");
         }
         assert_eq!(h.quantile(0.5), 6.0, "nearest rank rounds 4.5 up");
-        assert_eq!(h.quantile(1.0), 10.0);
     }
 
     #[test]

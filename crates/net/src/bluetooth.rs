@@ -83,11 +83,6 @@ impl BluetoothPlane {
         self.radios.get(&id)
     }
 
-    /// Mutable radio accessor.
-    pub fn radio_mut(&mut self, id: RadioId) -> Option<&mut Radio> {
-        self.radios.get_mut(&id)
-    }
-
     /// Sets a radio discoverable (what BEETLEJUICE does to the infected
     /// host: "turns itself into a beacon").
     pub fn set_discoverable(&mut self, id: RadioId, discoverable: bool) {

@@ -69,11 +69,6 @@ impl Plc {
         Plc { comm, blocks, drives: Vec::new() }
     }
 
-    /// The fieldbus type.
-    pub fn comm_processor(&self) -> CommProcessor {
-        self.comm
-    }
-
     /// Attaches a drive, returning its index.
     pub fn attach_drive(&mut self, drive: FrequencyDrive) -> usize {
         self.drives.push(drive);

@@ -30,11 +30,11 @@ use std::sync::Arc;
 
 use malsim::chaosfs::{ChaosFs, FaultSchedule, REAL_FS};
 use malsim::checkpoint::{self, journal_line_key};
-use malsim::jobs::{self, JobBudget, JobQueue, JobSpec, Priority, QueueConfig, QueueRun, SeedPolicy};
+use malsim::jobs::{self, JobQueue, JobSpec, Priority, QueueConfig, QueueRun, SeedPolicy};
 use malsim::report::{self, Json};
 use malsim::scenario::ScenarioBuilder;
 use malsim::script_api;
-use malsim::sweep::{PointRun, PoolConfig, ScriptFaultInfo, Truncation};
+use malsim::sweep::{PointRun, PoolConfig, ScriptFaultInfo, SweepSupervisor, Truncation};
 use malsim::telemetry;
 use malsim_kernel::rng::SimRng;
 use malsim_kernel::sched::Sim;
@@ -94,7 +94,7 @@ fn workload(seed: u64) -> Vec<JobSpec> {
         base_seed,
         seed_policy: SeedPolicy::Derived,
         priority,
-        budget: JobBudget::default(),
+        budget: SweepSupervisor::default(),
         grid,
     };
     let scripts = ["#! name: census\nreturn host_count()", "#! name: clock\nreturn now_ms()"]

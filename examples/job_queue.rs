@@ -28,11 +28,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use malsim::experiments::e2_zero_day_ablation;
-use malsim::jobs::{JobBudget, JobQueue, JobSpec, Priority, QueueConfig, SeedPolicy};
+use malsim::jobs::{JobQueue, JobSpec, Priority, QueueConfig, SeedPolicy};
 use malsim::report::Json;
 use malsim::scenario::ScenarioBuilder;
 use malsim::script_api;
-use malsim::sweep::{PointRun, PoolConfig};
+use malsim::sweep::{PointRun, PoolConfig, SweepSupervisor};
 use malsim::telemetry;
 
 /// The red-team tenant's script suite: two benign probes bracketing a fuel
@@ -106,7 +106,7 @@ fn main() {
         });
     }
 
-    let pacing = JobBudget { stagger_ms, ..JobBudget::default() };
+    let pacing = SweepSupervisor { stagger_ms, ..SweepSupervisor::default() };
     let cfg = QueueConfig { pool, max_jobs: 3, journal, resume, ..QueueConfig::default() };
     let mut queue = JobQueue::new(cfg).unwrap_or_else(|e| {
         eprintln!("error: {e}");

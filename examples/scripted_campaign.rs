@@ -68,30 +68,24 @@ detonate(hosts()[0])";
     ];
     println!("\n=== hostile sweep ===");
     let supervisor = SweepSupervisor::default();
-    let outcomes = sweep::run_supervised(
-        "scripted",
-        7,
-        &scripts,
-        sweep::PoolConfig::explicit(2),
-        &supervisor,
-        |ctx, (_, src)| {
-            let (mut world, mut sim) = ScenarioBuilder::new(ctx.derived_seed()).office_lan(3);
-            script_api::run_source(src, &mut world, &mut sim).map(|r| PointRun::complete(r.row()))
-        },
-    );
-    for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            PointOutcome::Completed { run, .. } => {
-                println!("point {i} ({}): completed -> {}", scripts[i].0, run.result.to_compact_string());
-            }
-            PointOutcome::ScriptFault { script_id, error, fuel_used, .. } => {
-                println!("point {i} ({script_id}): FAULT after {fuel_used} fuel -> {error}");
-            }
-            PointOutcome::Poisoned { panic_msg, .. } => {
-                println!("point {i}: poisoned -> {panic_msg}");
-            }
+    let run_script = |ctx: &sweep::SweepCtx, (_, src): &(&str, &str)| {
+        let (mut world, mut sim) = ScenarioBuilder::new(ctx.derived_seed()).office_lan(3);
+        script_api::run_source(src, &mut world, &mut sim).map(|r| PointRun::complete(r.row()))
+    };
+    let records = sweep::run("scripted", 7, &scripts, 2, |ctx, point| {
+        sweep::supervised_point(ctx, &supervisor, point, &run_script)
+    });
+    for (i, rec) in records.iter().enumerate() {
+        if let Some(row) = &rec.row {
+            println!("point {i} ({}): completed -> {}", scripts[i].0, row.to_compact_string());
+        } else if let (Some(script_id), Some(error), Some(fuel_used)) =
+            (&rec.script_id, &rec.script_error, rec.fuel_used)
+        {
+            println!("point {i} ({script_id}): FAULT after {fuel_used} fuel -> {error}");
+        } else if let Some(panic_msg) = &rec.panic_msg {
+            println!("point {i}: poisoned -> {panic_msg}");
         }
     }
-    let faults = outcomes.iter().filter(|o| matches!(o, PointOutcome::ScriptFault { .. })).count();
+    let faults = records.iter().filter(|r| r.status == checkpoint::PointStatus::ScriptFault).count();
     println!("{} of {} points faulted; the rest completed.", faults, scripts.len());
 }

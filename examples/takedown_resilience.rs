@@ -32,9 +32,9 @@
 
 use std::path::PathBuf;
 
+use malsim::checkpoint::CheckpointConfig;
 use malsim::experiments::{
     e13_takedown_resilience, e13_takedown_resilience_profiled_t, e13_takedown_resilience_supervised, grids,
-    SupervisedSweepOpts,
 };
 use malsim::sweep;
 
@@ -42,6 +42,7 @@ fn main() {
     let mut profile = false;
     let mut supervised = false;
     let mut resume = false;
+    let mut check_invariants = false;
     let mut ckpt: Option<String> = None;
     let mut out: Option<String> = None;
     let mut supervisor = sweep::SweepSupervisor::default();
@@ -88,7 +89,7 @@ fn main() {
                 supervised = true;
             }
             "--check-invariants" => {
-                supervisor.check_invariants = true;
+                check_invariants = true;
                 supervised = true;
             }
             "--point-sleep-ms" => {
@@ -116,14 +117,16 @@ fn main() {
 
     if supervised {
         let ckpt_path = PathBuf::from(ckpt.unwrap_or_else(|| "sweep.ckpt".to_owned()));
-        let opts = SupervisedSweepOpts {
+        let cfg = CheckpointConfig {
             pool: sweep::PoolConfig::explicit(threads),
             supervisor,
-            ckpt_path: &ckpt_path,
+            path: &ckpt_path,
             resume,
+            backend: None,
         };
+        let fractions = grids::E13_SINKHOLE_FRACTIONS;
         let outcomes =
-            e13_takedown_resilience_supervised(seed, clients, days, grids::E13_SINKHOLE_FRACTIONS, &opts)
+            e13_takedown_resilience_supervised(seed, clients, days, fractions, check_invariants, &cfg)
                 .unwrap_or_else(|e| {
                     eprintln!("error: {e}");
                     std::process::exit(1);

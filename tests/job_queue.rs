@@ -10,11 +10,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use malsim::jobs::{
-    CancelToken, JobBudget, JobOutcome, JobQueue, JobSpec, JobStatus, Priority, QueueConfig, RejectReason,
-    SeedPolicy,
+    CancelToken, JobOutcome, JobQueue, JobSpec, JobStatus, Priority, QueueConfig, RejectReason, SeedPolicy,
 };
 use malsim::report::Json;
-use malsim::sweep::{PointRun, PoolConfig, ScriptFaultInfo, Truncation};
+use malsim::sweep::{PointRun, PoolConfig, ScriptFaultInfo, SweepSupervisor, Truncation};
 use malsim::{jobs, scenario::ScenarioBuilder, script_api};
 use malsim_kernel::sched::Sim;
 use malsim_kernel::time::{SimDuration, SimTime};
@@ -77,7 +76,7 @@ fn spec(job_id: &str, tenant: &str, grid: Vec<Json>) -> JobSpec {
         base_seed: 40,
         seed_policy: SeedPolicy::Derived,
         priority: Priority::Normal,
-        budget: JobBudget::default(),
+        budget: SweepSupervisor::default(),
         grid,
     }
 }

@@ -10,7 +10,7 @@ use malsim::checkpoint::{run_checkpointed, CheckpointConfig, PointStatus};
 use malsim::scenario::ScenarioBuilder;
 use malsim::script_api;
 use malsim::sweep::SweepSupervisor;
-use malsim::sweep::{self, PointOutcome, PointRun};
+use malsim::sweep::{self, PointRun};
 use malsim_script::fuzz::hostile_script;
 
 fn temp(tag: &str) -> PathBuf {
@@ -41,27 +41,22 @@ fn run_suite_point(
 #[test]
 fn hostile_suite_faults_are_typed_and_the_grid_completes() {
     let supervisor = SweepSupervisor::default();
-    let outcomes = sweep::run_supervised(
-        "sandbox",
-        5,
-        HOSTILE_SUITE,
-        sweep::PoolConfig::explicit(2),
-        &supervisor,
-        |ctx, (_, src)| run_suite_point(ctx.derived_seed(), src),
-    );
-    assert_eq!(outcomes.len(), HOSTILE_SUITE.len(), "every point reaches a terminal outcome");
+    let eval = |ctx: &sweep::SweepCtx, (_, src): &(&str, &str)| run_suite_point(ctx.derived_seed(), src);
+    let records = sweep::run("sandbox", 5, HOSTILE_SUITE, 2, |ctx, point| {
+        sweep::supervised_point(ctx, &supervisor, point, &eval)
+    });
+    assert_eq!(records.len(), HOSTILE_SUITE.len(), "every point reaches a terminal outcome");
 
     let mut faulted = Vec::new();
-    for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            PointOutcome::Completed { .. } => {}
-            PointOutcome::ScriptFault { script_id, error, .. } => {
+    for (i, rec) in records.iter().enumerate() {
+        match rec.status {
+            PointStatus::Completed => {}
+            PointStatus::ScriptFault => {
+                let error = rec.script_error.clone().expect("a script fault carries its error");
                 assert!(error.starts_with("script: "), "typed, display-routed: {error}");
-                faulted.push((script_id.as_str(), error.clone()));
+                faulted.push((rec.script_id.as_deref().expect("and its script"), error));
             }
-            PointOutcome::Poisoned { panic_msg, .. } => {
-                panic!("point {i} escaped the sandbox as a panic: {panic_msg}")
-            }
+            status => panic!("point {i} escaped the sandbox as {status:?}: {:?}", rec.panic_msg),
         }
     }
     let ids: Vec<&str> = faulted.iter().map(|(id, _)| *id).collect();
@@ -81,17 +76,16 @@ fn hostile_suite_faults_are_typed_and_the_grid_completes() {
 fn checkpointed_hostile_sweep_resumes_byte_identically() {
     let full_path = temp("hostile-full");
     let cfg = CheckpointConfig {
-        experiment: "sandbox-ckpt",
-        base_seed: 5,
         pool: sweep::PoolConfig::explicit(2),
         supervisor: SweepSupervisor::default(),
         path: &full_path,
         resume: false,
         backend: None,
     };
-    let full =
-        run_checkpointed(&cfg, HOSTILE_SUITE, |ctx, (_, src)| run_suite_point(ctx.derived_seed(), src))
-            .unwrap();
+    let full = run_checkpointed("sandbox-ckpt", 5, &cfg, HOSTILE_SUITE, |ctx, (_, src)| {
+        run_suite_point(ctx.derived_seed(), src)
+    })
+    .unwrap();
     let full_report = full.report().to_canonical_string();
     let faults = full.points.iter().filter(|p| p.record.status == PointStatus::ScriptFault).count();
     assert_eq!(faults, 5, "the five hostile points fault");
@@ -104,6 +98,8 @@ fn checkpointed_hostile_sweep_resumes_byte_identically() {
         let lines: Vec<&str> = full_text.lines().take(keep).collect();
         std::fs::write(&partial, format!("{}\n", lines.join("\n"))).unwrap();
         let resumed = run_checkpointed(
+            "sandbox-ckpt",
+            5,
             &CheckpointConfig { path: &partial, resume: true, ..cfg },
             HOSTILE_SUITE,
             |ctx, (_, src)| run_suite_point(ctx.derived_seed(), src),

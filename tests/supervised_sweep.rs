@@ -4,9 +4,10 @@
 //! the whole checkpoint pipeline.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use malsim::checkpoint::{run_checkpointed, CheckpointConfig, PointStatus};
-use malsim::experiments::{self, SupervisedSweepOpts};
+use malsim::experiments;
 use malsim::report::Json;
 use malsim::scenario::ScenarioBuilder;
 use malsim::sweep::{PointRun, PoolConfig, SweepSupervisor};
@@ -27,13 +28,14 @@ const FRACTIONS: &[f64] = &[0.0, 0.5, 1.0];
 #[test]
 fn e13_resume_is_byte_identical_across_thread_counts() {
     let full_path = temp("e13-full");
-    let base = SupervisedSweepOpts {
+    let base = CheckpointConfig {
         pool: PoolConfig::explicit(2),
         supervisor: SweepSupervisor::default(),
-        ckpt_path: &full_path,
+        path: &full_path,
         resume: false,
+        backend: None,
     };
-    let full = experiments::e13_takedown_resilience_supervised(11, 4, 2, FRACTIONS, &base).unwrap();
+    let full = experiments::e13_takedown_resilience_supervised(11, 4, 2, FRACTIONS, false, &base).unwrap();
     let full_report = full.report().to_canonical_string();
     assert_eq!(full.points.len(), FRACTIONS.len());
     assert_eq!(full.resumed_points, 0);
@@ -49,12 +51,8 @@ fn e13_resume_is_byte_identical_across_thread_counts() {
             4,
             2,
             FRACTIONS,
-            &SupervisedSweepOpts {
-                pool: PoolConfig::explicit(threads),
-                ckpt_path: &path,
-                resume: true,
-                ..base
-            },
+            false,
+            &CheckpointConfig { pool: PoolConfig::explicit(threads), path: &path, resume: true, ..base },
         )
         .unwrap();
         assert_eq!(resumed.resumed_points, 1);
@@ -80,11 +78,13 @@ fn e13_event_budget_truncates_deterministically() {
                 3,
                 2,
                 FRACTIONS,
-                &SupervisedSweepOpts {
+                false,
+                &CheckpointConfig {
                     pool: PoolConfig::explicit(threads),
                     supervisor,
-                    ckpt_path: &path,
+                    path: &path,
                     resume: false,
+                    backend: None,
                 },
             )
             .unwrap();
@@ -103,15 +103,14 @@ fn e13_event_budget_truncates_deterministically() {
 #[test]
 fn e13_supervised_run_satisfies_all_invariants() {
     let path = temp("e13-inv");
-    let supervisor = SweepSupervisor { check_invariants: true, ..SweepSupervisor::default() };
-    let out = experiments::e13_takedown_resilience_supervised(
-        7,
-        3,
-        2,
-        FRACTIONS,
-        &SupervisedSweepOpts { pool: PoolConfig::explicit(2), supervisor, ckpt_path: &path, resume: false },
-    )
-    .unwrap();
+    let cfg = CheckpointConfig {
+        pool: PoolConfig::explicit(2),
+        supervisor: SweepSupervisor::default(),
+        path: &path,
+        resume: false,
+        backend: None,
+    };
+    let out = experiments::e13_takedown_resilience_supervised(7, 3, 2, FRACTIONS, true, &cfg).unwrap();
     for p in &out.points {
         assert_eq!(p.record.status, PointStatus::Completed);
         assert!(p.record.violations.is_empty(), "{:?}", p.record.violations);
@@ -131,8 +130,6 @@ fn e1_checked_run_is_violation_free() {
 fn seeded_violation_surfaces_through_the_checkpoint_pipeline() {
     let path = temp("seeded-violation");
     let cfg = CheckpointConfig {
-        experiment: "negative",
-        base_seed: 1,
         pool: PoolConfig::explicit(1),
         supervisor: SweepSupervisor::default(),
         path: &path,
@@ -153,7 +150,7 @@ fn seeded_violation_surfaces_through_the_checkpoint_pipeline() {
         sim.run(&mut world);
         Ok(PointRun { result: Json::U64(0), truncation: None, violations: sim.take_violations() })
     };
-    let out = run_checkpointed(&cfg, &[0u32], corrupt).unwrap();
+    let out = run_checkpointed("negative", 1, &cfg, &[0u32], corrupt).unwrap();
     let rec = &out.points[0].record;
     assert_eq!(rec.status, PointStatus::Completed);
     assert_eq!(rec.violations.len(), 1, "{:?}", rec.violations);
@@ -163,10 +160,11 @@ fn seeded_violation_surfaces_through_the_checkpoint_pipeline() {
     // The violation is durable: a resume keeps the record (with its
     // violation) instead of re-running the point — if it re-ran, this
     // panicking closure would leave the point poisoned.
-    let resumed = run_checkpointed(&CheckpointConfig { resume: true, ..cfg }, &[0u32], |_, _: &u32| {
-        panic!("a completed point must not re-run on resume")
-    })
-    .unwrap();
+    let resumed =
+        run_checkpointed("negative", 1, &CheckpointConfig { resume: true, ..cfg }, &[0u32], |_, _: &u32| {
+            panic!("a completed point must not re-run on resume")
+        })
+        .unwrap();
     assert_eq!(resumed.resumed_points, 1);
     let rec = &resumed.points[0].record;
     assert_eq!(rec.status, PointStatus::Completed);
@@ -181,8 +179,6 @@ fn poisoned_e13_style_point_quarantines_without_aborting() {
     // mid-simulation, the other points complete with real rows.
     let path = temp("quarantine");
     let cfg = CheckpointConfig {
-        experiment: "quarantine",
-        base_seed: 9,
         pool: PoolConfig::explicit(2),
         supervisor: SweepSupervisor::default(),
         path: &path,
@@ -190,7 +186,7 @@ fn poisoned_e13_style_point_quarantines_without_aborting() {
         backend: None,
     };
     let grid: Vec<f64> = vec![0.0, 0.25, 0.5, 0.75, 1.0];
-    let out = run_checkpointed(&cfg, &grid, |ctx, &frac| {
+    let out = run_checkpointed("quarantine", 9, &cfg, &grid, |ctx, &frac| {
         if ctx.point == 2 {
             panic!("injected mid-grid failure");
         }
@@ -218,6 +214,112 @@ fn poisoned_e13_style_point_quarantines_without_aborting() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// The five record shapes `one_worker_checkpoint_matches_its_golden` pins.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Completed,
+    Truncated,
+    Poisoned,
+    ScriptFault,
+    Violation,
+}
+
+/// Every record shape a checkpointed sweep writes, pinned byte for byte at
+/// one worker (so the file's line order is the point order): the checkpoint
+/// file and the canonical report must equal
+/// `tests/golden_metrics/checkpoint_shapes_t1.{jsonl,json}`.
+/// `MALSIM_BLESS=1` re-records both.
+#[test]
+fn one_worker_checkpoint_matches_its_golden() {
+    let path = temp("shapes-t1");
+    let supervisor = SweepSupervisor { retries: 1, event_budget: Some(5), ..SweepSupervisor::default() };
+    let cfg = CheckpointConfig {
+        pool: PoolConfig::explicit(1),
+        supervisor,
+        path: &path,
+        resume: false,
+        backend: None,
+    };
+    let shapes = [Shape::Completed, Shape::Truncated, Shape::Poisoned, Shape::ScriptFault, Shape::Violation];
+    let poison_tries = AtomicU32::new(0);
+    let out = run_checkpointed("shapes", 5, &cfg, &shapes, |ctx, &shape| {
+        let events = match shape {
+            Shape::Completed => 3,
+            Shape::Truncated => 20,
+            Shape::Poisoned => {
+                poison_tries.fetch_add(1, Ordering::SeqCst);
+                panic!("injected failure at point {}", ctx.point)
+            }
+            Shape::ScriptFault => {
+                return Err(malsim::sweep::ScriptFaultInfo {
+                    script_id: "spin.flua".into(),
+                    error: "script exceeded its fuel budget".into(),
+                    fuel_used: 2000,
+                })
+            }
+            Shape::Violation => {
+                let (mut world, mut sim) = ScenarioBuilder::new(ctx.derived_seed()).office_lan(2);
+                malsim::invariants::install(&mut sim, false);
+                sim.schedule_in(SimDuration::from_hours(1), |w: &mut World, sim| {
+                    w.campaigns.stuxnet.infections.insert(
+                        HostId::new(99),
+                        InfectionRecord { infected_at: sim.now(), vector: "usb-lnk".into() },
+                    );
+                });
+                let run = sim.run_until_watched(&mut world, SimTime::MAX, supervisor.watchdog());
+                return Ok(PointRun {
+                    result: Json::obj([("hosts", world.hosts.len().into())]),
+                    truncation: malsim::sweep::Truncation::from_stop(run.reason),
+                    violations: sim.take_violations(),
+                });
+            }
+        };
+        let mut sim: Sim<Vec<u32>> = Sim::new(SimTime::EPOCH, 3);
+        let mut world = Vec::new();
+        for tag in 0..events {
+            sim.schedule_in(SimDuration::from_mins(u64::from(tag)), move |w: &mut Vec<u32>, _| w.push(tag));
+        }
+        let horizon = SimTime::EPOCH + SimDuration::from_hours(1);
+        let run = sim.run_until_watched(&mut world, horizon, supervisor.watchdog());
+        Ok(PointRun {
+            result: Json::obj([("executed", run.executed.into()), ("now_ms", sim.now().as_millis().into())]),
+            truncation: malsim::sweep::Truncation::from_stop(run.reason),
+            violations: Vec::new(),
+        })
+    })
+    .unwrap();
+    let statuses: Vec<PointStatus> = out.points.iter().map(|p| p.record.status).collect();
+    assert_eq!(
+        statuses,
+        [
+            PointStatus::Completed,
+            PointStatus::Truncated,
+            PointStatus::Poisoned,
+            PointStatus::ScriptFault,
+            PointStatus::Completed
+        ]
+    );
+    assert_eq!(poison_tries.load(Ordering::SeqCst), 2, "the first try and one retry");
+    assert_eq!(out.points[4].record.violations.len(), 1, "{:?}", out.points[4].record.violations);
+
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden_metrics");
+    let live = [
+        ("checkpoint_shapes_t1.jsonl", std::fs::read_to_string(&path).unwrap()),
+        ("checkpoint_shapes_t1.json", out.report().to_canonical_string()),
+    ];
+    std::fs::remove_file(&path).unwrap();
+    for (name, text) in live {
+        let file = golden.join(name);
+        if malsim::golden::bless_requested() {
+            std::fs::write(&file, &text).unwrap();
+        } else {
+            let want = std::fs::read_to_string(&file)
+                .unwrap_or_else(|e| panic!("{}: {e}; record it with MALSIM_BLESS=1", file.display()));
+            assert!(text == want, "{name} drifted from its golden:\n{text}");
+        }
+    }
+}
+
 /// Disk-full mid-sweep on real scenario points: the checkpoint quarantines
 /// with a typed `StorageFull` fault, the grid still completes, and the
 /// report is byte-identical to a run on a healthy disk.
@@ -227,8 +329,6 @@ fn disk_full_mid_sweep_quarantines_the_checkpoint_but_the_grid_completes() {
 
     let clean_path = temp("chaos-clean");
     let cfg = CheckpointConfig {
-        experiment: "enospc-chaos",
-        base_seed: 13,
         pool: PoolConfig::explicit(2),
         supervisor: SweepSupervisor::default(),
         path: &clean_path,
@@ -241,12 +341,14 @@ fn disk_full_mid_sweep_quarantines_the_checkpoint_but_the_grid_completes() {
         sim.run(&mut world);
         Ok(PointRun::complete(Json::obj([("frac", frac.into()), ("hosts", world.hosts.len().into())])))
     };
-    let clean = run_checkpointed(&cfg, FRACTIONS, eval).unwrap();
+    let clean = run_checkpointed("enospc-chaos", 13, &cfg, FRACTIONS, eval).unwrap();
     assert!(clean.storage_fault.is_none());
 
     let chaos = ChaosFs::new(FaultSchedule { disk_capacity: Some(400), ..FaultSchedule::quiet(13) });
     let chaos_path = temp("chaos-enospc");
     let out = run_checkpointed(
+        "enospc-chaos",
+        13,
         &CheckpointConfig { path: &chaos_path, backend: Some(&chaos), ..cfg },
         FRACTIONS,
         eval,
@@ -273,8 +375,6 @@ fn fsync_failure_mid_sweep_still_resumes_byte_identically() {
 
     let clean_path = temp("fsync-clean");
     let cfg = CheckpointConfig {
-        experiment: "fsync-chaos",
-        base_seed: 21,
         pool: PoolConfig::explicit(2),
         supervisor: SweepSupervisor::default(),
         path: &clean_path,
@@ -287,12 +387,14 @@ fn fsync_failure_mid_sweep_still_resumes_byte_identically() {
         sim.run(&mut world);
         Ok(PointRun::complete(Json::obj([("frac", frac.into()), ("hosts", world.hosts.len().into())])))
     };
-    let clean = run_checkpointed(&cfg, FRACTIONS, eval).unwrap();
+    let clean = run_checkpointed("fsync-chaos", 21, &cfg, FRACTIONS, eval).unwrap();
     let clean_report = clean.report().to_canonical_string();
 
     let chaos = ChaosFs::new(FaultSchedule { fsync_fail_permille: 1000, ..FaultSchedule::quiet(21) });
     let chaos_path = temp("fsync-chaos");
     let out = run_checkpointed(
+        "fsync-chaos",
+        21,
         &CheckpointConfig { path: &chaos_path, backend: Some(&chaos), ..cfg },
         FRACTIONS,
         eval,
@@ -304,9 +406,14 @@ fn fsync_failure_mid_sweep_still_resumes_byte_identically() {
 
     // Whatever prefix reached the disk before quarantine is valid; resuming
     // over it re-runs only the lost points and lands on the same bytes.
-    let resumed =
-        run_checkpointed(&CheckpointConfig { path: &chaos_path, resume: true, ..cfg }, FRACTIONS, eval)
-            .unwrap();
+    let resumed = run_checkpointed(
+        "fsync-chaos",
+        21,
+        &CheckpointConfig { path: &chaos_path, resume: true, ..cfg },
+        FRACTIONS,
+        eval,
+    )
+    .unwrap();
     assert!(resumed.storage_fault.is_none());
     assert_eq!(resumed.report().to_canonical_string(), clean_report, "resume over the durable prefix");
     std::fs::remove_file(&clean_path).unwrap();
@@ -353,15 +460,13 @@ fn mid_batch_truncation_is_byte_identical_across_worker_counts() {
         .map(|threads| {
             let path = temp(&format!("batch-budget-{threads}"));
             let cfg = CheckpointConfig {
-                experiment: "batch_budget",
-                base_seed: 17,
                 pool: PoolConfig::explicit(threads),
                 supervisor: SweepSupervisor::default(),
                 path: &path,
                 resume: false,
                 backend: None,
             };
-            let out = run_checkpointed(&cfg, &budgets, |_, &budget| {
+            let out = run_checkpointed("batch_budget", 17, &cfg, &budgets, |_, &budget| {
                 let batch_at = SimTime::EPOCH + SimDuration::from_hours(1);
                 let mut sim: Sim<Vec<u32>> = Sim::new(SimTime::EPOCH, 3);
                 let mut world = Vec::new();

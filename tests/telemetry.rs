@@ -18,9 +18,9 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
-use malsim::jobs::{JobBudget, JobQueue, JobSpec, Priority, QueueConfig, SeedPolicy};
+use malsim::jobs::{JobQueue, JobSpec, Priority, QueueConfig, SeedPolicy};
 use malsim::report::{self, Json};
-use malsim::sweep::{PointRun, PoolConfig, Truncation};
+use malsim::sweep::{PointRun, PoolConfig, SweepSupervisor, Truncation};
 use malsim::{jobs, telemetry};
 use malsim_kernel::sched::Sim;
 use malsim_kernel::time::{SimDuration, SimTime};
@@ -75,7 +75,7 @@ fn spec(job_id: &str, tenant: &str, priority: Priority, grid: Vec<Json>) -> JobS
         base_seed: 40,
         seed_policy: SeedPolicy::Derived,
         priority,
-        budget: JobBudget::default(),
+        budget: SweepSupervisor::default(),
         grid,
     }
 }
