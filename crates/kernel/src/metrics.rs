@@ -45,9 +45,15 @@ impl Metrics {
         self.incr_by(name, 1);
     }
 
-    /// Adds `n` to a counter.
+    /// Adds `n` to a counter, creating it at zero if absent. The name is
+    /// copied only when the counter is created.
     pub fn incr_by(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(count) => *count += n,
+            None => {
+                self.counters.insert(name.to_owned(), n);
+            }
+        }
     }
 
     /// Current counter value (zero if never incremented).
@@ -148,6 +154,21 @@ mod tests {
         h.observe(2.0);
         assert_eq!(h.quantile(0.5), 2.0, "new observation re-sorts");
         assert_eq!(h.quantile(1.0), 3.0);
+    }
+
+    #[test]
+    fn counters_are_created_once_and_listed_in_name_order() {
+        let mut m = Metrics::new();
+        m.incr_by("zeta", 0);
+        m.incr("alpha");
+        m.incr_by("alpha", 2);
+        m.incr_by("zeta", 5);
+        m.incr("mid");
+        assert_eq!((m.counter("alpha"), m.counter("mid"), m.counter("zeta")), (3, 1, 5));
+        assert_eq!(m.to_string(), "counter alpha = 3\ncounter mid = 1\ncounter zeta = 5\n");
+        let mut zero = Metrics::new();
+        zero.incr_by("never", 0);
+        assert_eq!(zero.to_string(), "counter never = 0\n", "a zero add still creates the counter");
     }
 
     #[test]

@@ -33,6 +33,17 @@ use crate::trace::{TraceCategory, TraceLog};
 /// An event action: invoked once with the world and the scheduler.
 pub type Action<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>)>;
 
+/// A repeating action: invoked once per period until it returns `false`.
+type Repeating<W> = Box<dyn FnMut(&mut W, &mut Sim<W>) -> bool>;
+
+/// What a queued event runs: a one-shot action, or the next firing of a
+/// repeating series. A series keeps its pinned slot and its one box from
+/// firing to firing, so a re-arm allocates nothing.
+enum Payload<W> {
+    Once(Action<W>),
+    Every { slot: SlotRef, period: SimDuration, action: Repeating<W> },
+}
+
 /// Handle identifying a scheduled event, usable for cancellation.
 ///
 /// A handle is a generational slot reference: once its event has fired or
@@ -60,7 +71,7 @@ pub struct EventHandle(SlotRef);
 /// ```
 pub struct Sim<W> {
     now: SimTime,
-    queue: EventQueue<Action<W>>,
+    queue: EventQueue<Payload<W>>,
     executed: u64,
     profiler: Option<Profiler>,
     checker: Option<Box<InvariantChecker<W>>>,
@@ -142,7 +153,7 @@ impl<W> Sim<W> {
         F: FnOnce(&mut W, &mut Sim<W>) + 'static,
     {
         let time = at.max(self.now);
-        EventHandle(self.queue.insert(time, Box::new(action)))
+        EventHandle(self.queue.insert(time, Payload::Once(Box::new(action))))
     }
 
     /// Schedules `action` after a delay from now.
@@ -170,52 +181,54 @@ impl<W> Sim<W> {
     ///
     /// The returned handle pins one queue slot for the whole repetition, so
     /// it cancels the repeating event no matter how many periods have
-    /// elapsed.
+    /// elapsed. `action` is boxed once, here: re-arms reuse the box.
     pub fn schedule_every<F>(&mut self, period: SimDuration, action: F) -> EventHandle
     where
         F: FnMut(&mut W, &mut Sim<W>) -> bool + 'static,
     {
         assert!(!period.is_zero(), "repeating events require a non-zero period");
-        fn rearm<W>(
-            slot: SlotRef,
-            period: SimDuration,
-            mut action: impl FnMut(&mut W, &mut Sim<W>) -> bool + 'static,
-        ) -> Action<W> {
-            Box::new(move |w, sim| {
-                if action(w, sim) {
-                    let next = rearm(slot, period, action);
-                    let time = sim.now + period;
-                    // No-op if the handle was cancelled during this dispatch.
-                    sim.queue.rearm(slot, time, next);
-                } else {
-                    sim.queue.release(slot);
-                }
-            })
-        }
         let slot = self.queue.reserve();
         let time = self.now + period;
-        let armed = self.queue.rearm(slot, time, rearm(slot, period, action));
+        let armed = self.queue.rearm(slot, time, Payload::Every { slot, period, action: Box::new(action) });
         debug_assert!(armed, "a fresh reservation cannot already be cancelled");
         EventHandle(slot)
+    }
+
+    /// Runs a popped event. A repeating one then re-arms its pinned slot one
+    /// period on with the same box, or frees the slot once its action
+    /// returns `false`.
+    fn fire(&mut self, world: &mut W, payload: Payload<W>) {
+        match payload {
+            Payload::Once(action) => action(world, self),
+            Payload::Every { slot, period, mut action } => {
+                if action(world, self) {
+                    let time = self.now + period;
+                    // No-op if the handle was cancelled during this dispatch.
+                    self.queue.rearm(slot, time, Payload::Every { slot, period, action });
+                } else {
+                    self.queue.release(slot);
+                }
+            }
+        }
     }
 
     /// Executes the next pending event, advancing the clock to it.
     ///
     /// Returns `false` when the queue is empty.
     pub fn step(&mut self, world: &mut W) -> bool {
-        let Some((time, action)) = self.queue.pop() else { return false };
+        let Some((time, payload)) = self.queue.pop() else { return false };
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.executed += 1;
         if self.profiler.is_some() {
-            self.dispatch_profiled(world, action);
+            self.dispatch_profiled(world, payload);
         } else if let Some(hook) = self.telemetry {
             let depth = self.queue.len();
             self.dispatch_cat = None;
-            action(world, self);
+            self.fire(world, payload);
             hook.dispatch(self.dispatch_cat.take(), depth);
         } else {
-            action(world, self);
+            self.fire(world, payload);
         }
         if self.checker.is_some() {
             self.run_invariants(world);
@@ -234,11 +247,11 @@ impl<W> Sim<W> {
 
     /// Dispatch with the probe armed: time the action on the host clock and
     /// attribute it to the first trace category it touches.
-    fn dispatch_profiled(&mut self, world: &mut W, action: Action<W>) {
+    fn dispatch_profiled(&mut self, world: &mut W, payload: Payload<W>) {
         let depth = self.queue.len();
         self.dispatch_cat = None;
         let started = std::time::Instant::now();
-        action(world, self);
+        self.fire(world, payload);
         let nanos = started.elapsed().as_nanos() as u64;
         let cat = self.dispatch_cat.take();
         if let Some(hook) = self.telemetry {

@@ -6,8 +6,6 @@
 //! become every WPAD-enabled host's proxy — the interposition hook Flame's
 //! SNACK module used for its man-in-the-middle spread.
 
-use std::collections::BTreeMap;
-
 use malsim_kernel::define_id;
 use malsim_kernel::ids::Arena;
 use malsim_os::host::HostId;
@@ -74,7 +72,9 @@ impl Zone {
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     zones: Arena<ZoneId, Zone>,
-    placement: BTreeMap<HostId, ZoneId>,
+    /// Each host's zone, indexed by [`HostId::index`]; `None` for ids never
+    /// placed.
+    placement: Vec<Option<ZoneId>>,
     /// Bumped by every [`Topology::place`].
     generation: u64,
 }
@@ -98,7 +98,10 @@ impl Topology {
 
     /// Places a host in a zone (moving it if already placed).
     pub fn place(&mut self, host: HostId, zone: ZoneId) {
-        if let Some(old) = self.placement.insert(host, zone) {
+        if self.placement.len() <= host.index() {
+            self.placement.resize(host.index() + 1, None);
+        }
+        if let Some(old) = self.placement[host.index()].replace(zone) {
             self.zones[old].hosts.retain(|h| *h != host);
         }
         self.zones[zone].hosts.push(host);
@@ -114,7 +117,7 @@ impl Topology {
 
     /// The zone a host is in.
     pub fn zone_of(&self, host: HostId) -> Option<ZoneId> {
-        self.placement.get(&host).copied()
+        self.placement.get(host.index()).copied().flatten()
     }
 
     /// Zone accessor.
@@ -203,7 +206,7 @@ impl Topology {
 
     /// Number of placed hosts.
     pub fn host_count(&self) -> usize {
-        self.placement.len()
+        self.zones.iter().map(|(_, zone)| zone.hosts.len()).sum()
     }
 }
 

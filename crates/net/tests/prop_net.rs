@@ -27,6 +27,14 @@ proptest! {
             prop_assert_eq!(topo.zone_of(*h), Some(*zid));
         }
         prop_assert_eq!(topo.host_count(), seen.len());
+        // Ids never placed have no zone, including ids past the highest one
+        // placed, where the placement table ends.
+        let highest = moves.iter().map(|(host, _)| *host).max().unwrap_or(0);
+        for id in (0..=highest + 8).chain([u32::MAX as usize]) {
+            if !moves.iter().any(|(host, _)| *host == id) {
+                prop_assert_eq!(topo.zone_of(HostId::new(id)), None, "host {} was never placed", id);
+            }
+        }
     }
 
     #[test]
