@@ -42,10 +42,11 @@ pub fn install(sim: &mut WorldSim, strict: bool) {
             .infections
             .keys()
             .chain(campaigns.flame_clients.keys())
-            .chain(campaigns.shamoon.infections.keys())
             .chain(campaigns.duqu.implants.keys())
-            .chain(campaigns.gauss.infections.keys());
-        for &host in all_infected {
+            .chain(campaigns.gauss.infections.keys())
+            .copied()
+            .chain(campaigns.shamoon.infections.keys());
+        for host in all_infected {
             if world.hosts.get(host).is_none() {
                 return Err(format!("campaign state references non-existent host {host:?}"));
             }

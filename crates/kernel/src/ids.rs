@@ -172,6 +172,117 @@ impl<I: ArenaId, T> std::ops::IndexMut<I> for Arena<I, T> {
     }
 }
 
+/// A map keyed by arena ids, stored densely: one slot per index, so a lookup
+/// is an index instead of a tree walk. It iterates in id order and formats
+/// with `{:?}` as a `BTreeMap` of the same entries does.
+///
+/// Ids are expected to be dense, as [`Arena`] ids are: inserting an id grows
+/// the table to that id's index, so a lone large id allocates a slot for
+/// every id below it.
+///
+/// # Examples
+///
+/// ```
+/// use malsim_kernel::ids::IdMap;
+///
+/// malsim_kernel::define_id!(pub struct ThingId("thing"));
+/// malsim_kernel::impl_arena_id!(ThingId);
+///
+/// let mut map: IdMap<ThingId, &str> = IdMap::new();
+/// assert_eq!(map.insert(ThingId::new(2), "two"), None);
+/// assert_eq!(map.insert(ThingId::new(0), "zero"), None);
+/// assert_eq!(map.insert(ThingId::new(2), "deux"), Some("two"));
+/// assert_eq!(map.len(), 2);
+/// assert_eq!(map.get(ThingId::new(1)), None);
+/// assert_eq!(format!("{map:?}"), r#"{ThingId(0): "zero", ThingId(2): "deux"}"#);
+/// ```
+#[derive(Clone)]
+pub struct IdMap<I, T> {
+    slots: Vec<Option<T>>,
+    len: usize,
+    _marker: std::marker::PhantomData<I>,
+}
+
+impl<I: ArenaId, T> IdMap<I, T> {
+    /// Creates an empty map.
+    pub fn new() -> Self {
+        IdMap { slots: Vec::new(), len: 0, _marker: std::marker::PhantomData }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the map holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether `id` has an entry.
+    pub fn contains_key(&self, id: I) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Shared access to `id`'s entry.
+    pub fn get(&self, id: I) -> Option<&T> {
+        self.slots.get(id.to_index())?.as_ref()
+    }
+
+    /// Mutable access to `id`'s entry.
+    pub fn get_mut(&mut self, id: I) -> Option<&mut T> {
+        self.slots.get_mut(id.to_index())?.as_mut()
+    }
+
+    /// Sets `id`'s entry, returning the one it replaces. Grows the table to
+    /// `id`'s index.
+    pub fn insert(&mut self, id: I, value: T) -> Option<T> {
+        let index = id.to_index();
+        if self.slots.len() <= index {
+            self.slots.resize_with(index + 1, || None);
+        }
+        let old = self.slots[index].replace(value);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
+    }
+
+    /// Iterates `(id, &value)` pairs in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (I, &T)> {
+        self.slots.iter().enumerate().filter_map(|(i, slot)| Some((I::from_index(i), slot.as_ref()?)))
+    }
+
+    /// Iterates the ids that have entries, in order.
+    pub fn keys(&self) -> impl Iterator<Item = I> + '_ {
+        self.iter().map(|(id, _)| id)
+    }
+
+    /// Iterates the values in id order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+}
+
+impl<I: ArenaId, T> Default for IdMap<I, T> {
+    fn default() -> Self {
+        IdMap::new()
+    }
+}
+
+impl<I: ArenaId, T> std::ops::Index<I> for IdMap<I, T> {
+    type Output = T;
+    fn index(&self, id: I) -> &T {
+        self.get(id).expect("no entry for id")
+    }
+}
+
+impl<I: ArenaId + std::fmt::Debug, T: std::fmt::Debug> std::fmt::Debug for IdMap<I, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Stable reference into a [`GenSlab`]: a slot index plus the generation the
 /// slot had when the value was inserted.
 ///
@@ -399,5 +510,43 @@ mod tests {
         }
         assert_eq!(arena[TestId::new(2)], 31);
         assert_eq!(arena.ids().count(), 3);
+    }
+
+    /// `IdMap` against a `BTreeMap` model under seeded inserts, replacing
+    /// inserts, in-place updates and lookups, some past the table's end:
+    /// after every step both agree on the replaced value, the lookup, `len`,
+    /// the iteration order and the `{:?}` string.
+    #[test]
+    fn id_map_matches_a_btree_map_model() {
+        use std::collections::BTreeMap;
+
+        for seed in 0..200 {
+            let mut rng = crate::rng::SimRng::seed_from(seed);
+            let mut map: IdMap<TestId, u32> = IdMap::new();
+            let mut model: BTreeMap<TestId, u32> = BTreeMap::new();
+            let span = rng.range(1..64usize);
+            for step in 0..100u32 {
+                let id = TestId::new(rng.range(0..span));
+                let far = TestId::new(span + rng.range(0..span));
+                match rng.range(0..4u8) {
+                    0 | 1 => assert_eq!(map.insert(id, step), model.insert(id, step), "seed {seed}"),
+                    2 => {
+                        if let (Some(v), Some(m)) = (map.get_mut(id), model.get_mut(&id)) {
+                            *v += 1;
+                            *m += 1;
+                        }
+                    }
+                    _ => assert_eq!(map.get(far), model.get(&far), "seed {seed}: past the end"),
+                }
+                assert_eq!(map.get(id), model.get(&id), "seed {seed}");
+                assert_eq!(map.contains_key(id), model.contains_key(&id));
+                assert_eq!(map.len(), model.len());
+                assert_eq!(map.is_empty(), model.is_empty());
+                assert!(map.iter().eq(model.iter().map(|(k, v)| (*k, v))), "seed {seed}: iteration order");
+                assert!(map.keys().eq(model.keys().copied()));
+                assert!(map.values().eq(model.values()));
+                assert_eq!(format!("{map:?}"), format!("{model:?}"), "seed {seed}");
+            }
+        }
     }
 }

@@ -96,6 +96,32 @@ impl fmt::Display for TraceEvent {
     }
 }
 
+/// Trace text built only when a log keeps it.
+///
+/// The trace and span logs take actors, messages and span attributes as
+/// `impl Into<String>` and convert them only when they retain the entry, so
+/// `Lazy(|| format!(..))` formats nothing in an untraced run.
+///
+/// # Examples
+///
+/// ```
+/// use malsim_kernel::time::SimTime;
+/// use malsim_kernel::trace::{Lazy, TraceCategory, TraceLog};
+///
+/// let mut log = TraceLog::disabled();
+/// log.record(SimTime::EPOCH, TraceCategory::Os, "host:a", Lazy(|| unreachable!("never formatted")));
+/// let mut log = TraceLog::new();
+/// log.record(SimTime::EPOCH, TraceCategory::Os, "host:a", Lazy(|| format!("{} files", 3)));
+/// assert_eq!(log.events()[0].message, "3 files");
+/// ```
+pub struct Lazy<F>(pub F);
+
+impl<F: FnOnce() -> String> From<Lazy<F>> for String {
+    fn from(text: Lazy<F>) -> String {
+        (text.0)()
+    }
+}
+
 /// Append-only log of [`TraceEvent`]s.
 ///
 /// # Examples

@@ -7,7 +7,7 @@
 //! SNACK module used for its man-in-the-middle spread.
 
 use malsim_kernel::define_id;
-use malsim_kernel::ids::Arena;
+use malsim_kernel::ids::{Arena, IdMap};
 use malsim_os::host::HostId;
 
 define_id!(
@@ -72,9 +72,8 @@ impl Zone {
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     zones: Arena<ZoneId, Zone>,
-    /// Each host's zone, indexed by [`HostId::index`]; `None` for ids never
-    /// placed.
-    placement: Vec<Option<ZoneId>>,
+    /// Each placed host's zone.
+    placement: IdMap<HostId, ZoneId>,
     /// Bumped by every [`Topology::place`].
     generation: u64,
 }
@@ -98,10 +97,7 @@ impl Topology {
 
     /// Places a host in a zone (moving it if already placed).
     pub fn place(&mut self, host: HostId, zone: ZoneId) {
-        if self.placement.len() <= host.index() {
-            self.placement.resize(host.index() + 1, None);
-        }
-        if let Some(old) = self.placement[host.index()].replace(zone) {
+        if let Some(old) = self.placement.insert(host, zone) {
             self.zones[old].hosts.retain(|h| *h != host);
         }
         self.zones[zone].hosts.push(host);
@@ -117,7 +113,7 @@ impl Topology {
 
     /// The zone a host is in.
     pub fn zone_of(&self, host: HostId) -> Option<ZoneId> {
-        self.placement.get(host.index()).copied().flatten()
+        self.placement.get(host).copied()
     }
 
     /// Zone accessor.
@@ -206,7 +202,7 @@ impl Topology {
 
     /// Number of placed hosts.
     pub fn host_count(&self) -> usize {
-        self.zones.iter().map(|(_, zone)| zone.hosts.len()).sum()
+        self.placement.len()
     }
 }
 

@@ -87,10 +87,10 @@ impl Disk {
         if lba >= self.total_sectors {
             return;
         }
-        let mut sector = vec![0u8; SECTOR_SIZE];
+        let sector = self.sectors.entry(lba).or_insert_with(|| vec![0u8; SECTOR_SIZE]);
         let n = data.len().min(SECTOR_SIZE);
         sector[..n].copy_from_slice(&data[..n]);
-        self.sectors.insert(lba, sector);
+        sector[n..].fill(0);
     }
 
     /// The MBR (sector 0).
@@ -101,8 +101,7 @@ impl Disk {
     /// Whether the MBR carries the boot signature — the property Shamoon
     /// destroys to brick the machine.
     pub fn is_bootable(&self) -> bool {
-        let mbr = self.mbr();
-        mbr[SECTOR_SIZE - 2..] == BOOT_MAGIC
+        self.sectors.get(&0).is_some_and(|mbr| mbr[SECTOR_SIZE - 2..] == BOOT_MAGIC)
     }
 
     /// The active partition, if any.
@@ -110,24 +109,18 @@ impl Disk {
         self.partitions.iter().find(|p| p.active)
     }
 
-    /// Overwrites every sector of the active partition's first `n` written
-    /// sectors and its metadata. Returns the number of sectors clobbered.
+    /// Fills every written sector inside the active partition with
+    /// `filler`, then writes the partition's first sector (its filesystem
+    /// metadata) with it too. Returns how many written sectors were filled,
+    /// but at least 1; 0 when there is no active partition.
     pub fn wipe_active_partition(&mut self, filler: u8) -> u64 {
-        let Some(p) = self.active_partition().cloned() else { return 0 };
-        // Clobber the sectors that actually hold data, plus the partition
-        // start (filesystem metadata).
+        let Some(&Partition { start_sector, sectors, .. }) = self.active_partition() else { return 0 };
         let mut wiped = 0;
-        let in_range: Vec<u64> = self
-            .sectors
-            .keys()
-            .copied()
-            .filter(|&lba| lba >= p.start_sector && lba < p.start_sector + p.sectors)
-            .collect();
-        for lba in in_range {
-            self.sectors.insert(lba, vec![filler; SECTOR_SIZE]);
+        for (_, sector) in self.sectors.range_mut(start_sector..start_sector + sectors) {
+            sector.fill(filler);
             wiped += 1;
         }
-        self.write_sector(p.start_sector, &vec![filler; SECTOR_SIZE]);
+        self.write_sector(start_sector, &[filler; SECTOR_SIZE]);
         wiped.max(1)
     }
 
@@ -161,6 +154,8 @@ mod tests {
         let s = d.read_sector(5);
         assert_eq!(&s[..3], &[1, 2, 3]);
         assert!(s[3..].iter().all(|&b| b == 0));
+        d.write_sector(5, &[9]);
+        assert_eq!(d.read_sector(5)[..3], [9, 0, 0], "a rewrite zero-pads over the old bytes");
         assert_eq!(d.read_sector(6), vec![0u8; SECTOR_SIZE]);
     }
 

@@ -24,8 +24,9 @@ pub enum FileData {
     /// that wrapping content never copies it: a zero-filled document keeps
     /// the untouched pages its allocation came with.
     Bytes(Arc<Vec<u8>>),
-    /// An executable image in the workspace's toy PE format.
-    Executable(Image),
+    /// An executable image in the workspace's toy PE format. Shared, so a
+    /// carrier dropped on many hosts is held once.
+    Executable(Arc<Image>),
     /// A Windows shortcut. `exploit_payload` models a malformed LNK that
     /// triggers code execution when *rendered* by an unpatched shell
     /// (MS10-046): it names the executable path to launch.
@@ -71,23 +72,40 @@ impl FileData {
 ///
 /// static MODULE: SharedPayload = SharedPayload::filled(0x53, 4);
 /// assert_eq!(FileData::Bytes(MODULE.bytes()), FileData::Bytes(vec![0x53; 4].into()));
+/// static NOTE: SharedPayload = SharedPayload::copied(b"read me");
+/// assert_eq!(FileData::Bytes(NOTE.bytes()), FileData::Bytes(b"read me".to_vec().into()));
 /// ```
 #[derive(Debug)]
 pub struct SharedPayload {
-    byte: u8,
-    len: usize,
+    source: PayloadSource,
     body: OnceLock<Arc<Vec<u8>>>,
+}
+
+#[derive(Debug)]
+enum PayloadSource {
+    Filled(u8, usize),
+    Copied(&'static [u8]),
 }
 
 impl SharedPayload {
     /// `len` bytes of `byte`.
     pub const fn filled(byte: u8, len: usize) -> SharedPayload {
-        SharedPayload { byte, len, body: OnceLock::new() }
+        SharedPayload { source: PayloadSource::Filled(byte, len), body: OnceLock::new() }
+    }
+
+    /// A copy of `bytes`.
+    pub const fn copied(bytes: &'static [u8]) -> SharedPayload {
+        SharedPayload { source: PayloadSource::Copied(bytes), body: OnceLock::new() }
     }
 
     /// The shared content.
     pub fn bytes(&self) -> Arc<Vec<u8>> {
-        Arc::clone(self.body.get_or_init(|| Arc::new(vec![self.byte; self.len])))
+        Arc::clone(self.body.get_or_init(|| {
+            Arc::new(match self.source {
+                PayloadSource::Filled(byte, len) => vec![byte; len],
+                PayloadSource::Copied(bytes) => bytes.to_vec(),
+            })
+        }))
     }
 }
 
@@ -257,30 +275,32 @@ impl Vfs {
     /// `folder_names` (case-insensitive) — e.g. Shamoon's target list:
     /// download, document, picture, music, video, desktop.
     pub fn find_under_folders(&self, folder_names: &[&str]) -> Vec<&WinPath> {
-        self.files
-            .keys()
-            .filter(|p| p.components().any(|c| folder_names.iter().any(|f| c.eq_ignore_ascii_case(f))))
-            .collect()
+        self.files.keys().filter(|p| under_folders(p, folder_names)).collect()
     }
 
-    /// Overwrites a file's contents in place (same node, new bytes) —
-    /// distinct from `write` because it preserves creation time, matching
-    /// what a wiper does.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`] if absent.
-    pub fn overwrite(
+    /// Overwrites every file [`Vfs::find_under_folders`] lists with `bytes`
+    /// and returns how many it overwrote. Each keeps its node and creation
+    /// time, unlike [`Vfs::write`]: what a wiper does.
+    pub fn overwrite_under_folders(
         &mut self,
-        path: &WinPath,
-        bytes: impl Into<Arc<Vec<u8>>>,
+        folder_names: &[&str],
+        bytes: &Arc<Vec<u8>>,
         now: SimTime,
-    ) -> Result<(), FsError> {
-        let node = self.read_mut(path)?;
-        node.data = FileData::Bytes(bytes.into());
-        node.modified = now;
-        Ok(())
+    ) -> usize {
+        let mut overwritten = 0;
+        for (_, node) in self.files.iter_mut().filter(|(p, _)| under_folders(p, folder_names)) {
+            node.data = FileData::Bytes(Arc::clone(bytes));
+            node.modified = now;
+            overwritten += 1;
+        }
+        overwritten
     }
+}
+
+/// Whether a component of `path` is named one of `folder_names`,
+/// ignoring ASCII case.
+fn under_folders(path: &WinPath, folder_names: &[&str]) -> bool {
+    path.components().any(|c| folder_names.iter().any(|f| c.eq_ignore_ascii_case(f)))
 }
 
 #[cfg(test)]
@@ -373,18 +393,19 @@ mod tests {
     #[test]
     fn overwrite_preserves_creation_time() {
         let mut fs = Vfs::new();
-        let p = WinPath::new(r"C:\f");
-        fs.write(&p, bytes(100), t(1)).unwrap();
-        fs.overwrite(&p, vec![0xFF; 4], t(50)).unwrap();
-        let node = fs.read(&p).unwrap();
+        let doc = WinPath::new(r"C:\Users\ali\Documents\f");
+        let other = WinPath::new(r"C:\Windows\f");
+        fs.write(&doc, bytes(100), t(1)).unwrap();
+        fs.write(&other, bytes(100), t(1)).unwrap();
+        assert_eq!(fs.overwrite_under_folders(&["documents"], &Arc::new(vec![0xFF; 4]), t(50)), 1);
+        let node = fs.read(&doc).unwrap();
         assert_eq!(node.created, t(1));
         assert_eq!(node.modified, t(50));
         assert_eq!(node.data, FileData::Bytes(vec![0xFF; 4].into()));
         assert_eq!(format!("{:?}", node.data), "Bytes([255, 255, 255, 255])");
-        assert!(matches!(
-            fs.overwrite(&WinPath::new(r"C:\none"), vec![], t(51)),
-            Err(FsError::NotFound { .. })
-        ));
+        let untouched = FileNode { data: bytes(100), created: t(1), modified: t(1), hidden: false };
+        assert_eq!(fs.read(&other).unwrap(), &untouched, "outside the target folders");
+        assert_eq!(fs.overwrite_under_folders(&["pictures"], &Arc::new(vec![]), t(51)), 0);
     }
 
     #[test]

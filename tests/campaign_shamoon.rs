@@ -96,3 +96,172 @@ fn disabling_shares_contains_the_spread() {
     assert_eq!(world.campaigns.shamoon.infections.len(), 1, "patient zero only");
     assert_eq!(world.bricked_count(), 1);
 }
+
+/// A small traced E9 world that reaches every branch of Shamoon's per-host
+/// work: three sites of one server and seven workstations, two of them
+/// seeded by phishing. Site 1's uplink is down, so its wipe reports are
+/// lost; a boundary IDS watches for the reporter's `ajax_modal` GET; two
+/// workstations refuse share copies until an administrator re-enables
+/// sharing two hours in, so they fall in a later round; one infected
+/// workstation does not trust the driver vendor's root, so its MBR
+/// survives; and a few users keep documents and pictures for the wiper to
+/// list and overwrite.
+fn small_e9_world(traced: bool) -> (World, WorldSim) {
+    use malsim_defense::ids::{Ids, IdsRule};
+    use malsim_net::topology::ZoneId;
+
+    let mut builder = ScenarioBuilder::new(815);
+    builder.start(SimTime::from_utc(2012, 8, 13, 6, 0, 0));
+    if !traced {
+        builder.without_trace();
+    }
+    let (mut world, mut sim) = builder.enterprise(3, 7);
+    let pki = Pki::install(&mut world);
+    pki.arm_shamoon(&mut world);
+    world.campaigns.shamoon.trigger_at = Some(shamoon::aramco_trigger());
+    world.topology.set_link(ZoneId::new(1), false);
+    let mut ids = Ids::new();
+    ids.add_rule(IdsRule::RequestPattern("ajax_modal".into()));
+    world.ids = Some(ids);
+    for h in [4, 13] {
+        world.hosts[HostId::new(h)].config.file_sharing = false;
+        sim.schedule_in(SimDuration::from_mins(125), move |w: &mut World, _| {
+            w.hosts[HostId::new(h)].config.file_sharing = true;
+        });
+    }
+    world.hosts[HostId::new(6)].trust = Default::default();
+    let docs: [(usize, &str, usize); 4] = [
+        (1, r"C:\Users\user\Documents\budget-2012.xls", 48_000),
+        (2, r"C:\Users\user\Pictures\site-visit.jpg", 350_000),
+        (2, r"C:\Users\user\Downloads\rig-schedule.pdf", 90_000),
+        (10, r"D:\Shared\Documents\well-logs.dat", 600_000),
+    ];
+    for (h, path, len) in docs {
+        world.hosts[HostId::new(h)]
+            .fs
+            .write(&WinPath::new(path), FileData::Bytes(vec![h as u8; len].into()), sim.now())
+            .unwrap();
+    }
+    for z in 0..2 {
+        shamoon::dropper::infect_host(&mut world, &mut sim, HostId::new(z * 8 + 1), "phish");
+    }
+    sim.run_until(&mut world, shamoon::aramco_trigger() + SimDuration::from_hours(2));
+    (world, sim)
+}
+
+/// Everything a run leaves behind except its trace and span text: each
+/// host's state, files, services, tasks, processes, drivers and disk, the
+/// infection records (with their span ids), the reports, the IDS alerts,
+/// the metric counters, the event count and the next RNG draw.
+fn shamoon_outcome(world: &World, sim: &mut WorldSim) -> String {
+    use malsim::checkpoint::fnv1a64;
+    use std::fmt::Write;
+
+    let mut out = String::new();
+    for (id, host) in world.hosts.iter() {
+        writeln!(out, "{id} {} {:?}", host.name(), host.state()).unwrap();
+        for (path, node) in host.fs.iter() {
+            let digest = match &node.data {
+                FileData::Bytes(bytes) => fnv1a64(bytes),
+                FileData::Executable(image) => fnv1a64(&image.to_bytes()),
+                other => fnv1a64(format!("{other:?}").as_bytes()),
+            };
+            writeln!(
+                out,
+                "  file {} len={} digest={digest:016x} created={} modified={} hidden={}",
+                path.as_str(),
+                node.data.len(),
+                node.created,
+                node.modified,
+                node.hidden
+            )
+            .unwrap();
+        }
+        for service in host.services.services() {
+            writeln!(out, "  service {service:?}").unwrap();
+        }
+        for task in host.services.tasks() {
+            writeln!(out, "  task {task:?}").unwrap();
+        }
+        writeln!(out, "  processes {:?}", host.processes).unwrap();
+        for driver in host.drivers() {
+            writeln!(out, "  driver {driver:?}").unwrap();
+        }
+        // The only sectors these worlds write are the MBR and the first
+        // sector of the active partition; the count pins that.
+        let partition = host.disk.active_partition().map_or(0, |p| p.start_sector);
+        let mut sectors = host.disk.read_sector(0);
+        sectors.extend(host.disk.read_sector(partition));
+        writeln!(
+            out,
+            "  disk written={} bootable={} sectors={:016x}",
+            host.disk.written_sectors(),
+            host.disk.is_bootable(),
+            fnv1a64(&sectors)
+        )
+        .unwrap();
+    }
+    writeln!(out, "infections {:?}", world.campaigns.shamoon.infections).unwrap();
+    for report in &world.campaigns.shamoon.reports {
+        writeln!(out, "report {report:?}").unwrap();
+    }
+    let ids = world.ids.as_ref().expect("the world deploys an IDS");
+    writeln!(out, "ids inspected={} alerts={:?}", ids.inspected(), ids.alerts()).unwrap();
+    write!(out, "{}", sim.metrics).unwrap();
+    writeln!(out, "executed {} next-draw {:016x}", sim.executed(), sim.rng.bits()).unwrap();
+    out
+}
+
+/// The trace and span text of a traced run, span attributes and close times
+/// included.
+fn shamoon_trace_text(sim: &WorldSim) -> String {
+    let mut out = sim.trace.render();
+    out.push_str(&sim.spans.render_tree());
+    for span in sim.spans.spans() {
+        out.push_str(&format!("{} end={:?} attrs={:?}\n", span.id, span.end, span.attrs));
+    }
+    out
+}
+
+/// Pins Shamoon's per-host outcome on [`small_e9_world`], traced, byte for
+/// byte against `tests/golden_metrics/shamoon_hosts.txt`. `MALSIM_BLESS=1`
+/// re-records it.
+#[test]
+fn per_host_outcome_matches_its_golden() {
+    let (world, mut sim) = small_e9_world(true);
+    let live = format!("{}{}", shamoon_outcome(&world, &mut sim), shamoon_trace_text(&sim));
+    assert!(world.bricked_count() > 0 && world.hosts.iter().any(|(_, h)| h.is_running()));
+    let file = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden_metrics/shamoon_hosts.txt");
+    if golden::bless_requested() {
+        std::fs::write(&file, &live).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&file)
+        .unwrap_or_else(|e| panic!("{}: {e}; record it with MALSIM_BLESS=1", file.display()));
+    if live != want {
+        let (n, (got, expected)) = live
+            .lines()
+            .chain(std::iter::repeat(""))
+            .zip(want.lines().chain(std::iter::repeat("")))
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+            .expect("texts differ");
+        panic!(
+            "per-host outcome drifted from {} at line {}:\n  got:  {got}\n  want: {expected}",
+            file.display(),
+            n + 1
+        );
+    }
+}
+
+/// An untraced run of the same world leaves the same hosts, records, span
+/// ids, reports, alerts, counters and RNG state as the traced run.
+#[test]
+fn untraced_run_leaves_the_traced_outcome() {
+    let (world, mut sim) = small_e9_world(true);
+    let traced = shamoon_outcome(&world, &mut sim);
+    let (world, mut sim) = small_e9_world(false);
+    assert!(sim.trace.is_empty() && sim.spans.is_empty());
+    assert_eq!(shamoon_outcome(&world, &mut sim), traced);
+}
